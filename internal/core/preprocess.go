@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/crowd"
-	"repro/internal/domain"
 	"repro/internal/sprt"
 	"repro/internal/stats"
 )
@@ -304,22 +303,13 @@ func trainRegressions(p crowd.Platform, col *collector, asg Assignment, targets 
 		} else if err != nil {
 			return nil, nil, err
 		}
-		var rows [][]float64
-		var ys []float64
-		for _, e := range ex {
-			answers, err := trainingRow(p, e.Object, support, asg.Counts)
-			if errors.Is(err, crowd.ErrBudgetExhausted) {
-				break
-			}
-			if err != nil {
-				return nil, nil, err
-			}
-			row := make([]float64, len(support))
-			for j := range support {
-				row[j] = stats.Mean(answers[j])
-			}
-			rows = append(rows, row)
-			ys = append(ys, e.Values[t])
+		rows, err := trainingRows(p, ex, support, asg.Counts)
+		if err != nil && !errors.Is(err, crowd.ErrBudgetExhausted) {
+			return nil, nil, err
+		}
+		ys := make([]float64, len(rows))
+		for i := range rows {
+			ys[i] = ex[i].Values[t]
 		}
 		if len(rows) == 0 {
 			regs[t] = &Regression{Intercept: stats.Mean(col.truth[t])}
@@ -336,28 +326,54 @@ func trainRegressions(p crowd.Platform, col *collector, asg Assignment, targets 
 	return regs, n2s, nil
 }
 
-// trainingRow collects one training example's answers for every support
-// attribute: a single ValueBatch exchange when the platform batches (one
-// round trip per example instead of one per attribute), the sequential
-// Value loop otherwise. The example stays the batching unit — not the
-// whole training set — so a budget exhaustion still degrades per example
-// exactly as before: the failing example contributes nothing, every
-// earlier example stands.
-func trainingRow(p crowd.Platform, o *domain.Object, support []string, counts map[string]int) ([][]float64, error) {
-	if vb, ok := p.(crowd.ValueBatcher); ok && len(support) > 1 {
-		qs := make([]crowd.ValueQuestion, len(support))
-		for j, a := range support {
-			qs[j] = crowd.ValueQuestion{Attr: a, N: counts[a]}
+// trainingRows collects b(a) answers per support attribute for each
+// training example, in the example order of the per-example loop, and
+// returns one row of answer means per example. It asks in few exchanges:
+// the longest prefix of the remaining examples whose nominal price
+// Σ counts[a]·price(a) fits the ledger goes out as one multi-object
+// batch (example-major, support order within an example), repeatedly;
+// once not even one example fits nominally, it asks one example per
+// exchange. The nominal price bounds what a platform charges (memoized
+// answers are free), so a prefix batch cannot exhaust the budget and
+// every charge lands in the per-example loop's order: an exhaustion
+// stops on the same answer, the failing example contributes nothing,
+// and the rows before it are returned with the error.
+func trainingRows(p crowd.Platform, examples []crowd.Example, support []string, counts map[string]int) ([][]float64, error) {
+	rows := make([][]float64, 0, len(examples))
+	if len(support) == 0 {
+		for range examples {
+			rows = append(rows, []float64{})
 		}
-		return vb.ValueBatch(o, qs)
+		return rows, nil
 	}
-	out := make([][]float64, len(support))
-	for j, a := range support {
-		ans, err := p.Value(o, a, counts[a])
+	price := priceOf(p)
+	var perExample crowd.Cost
+	for _, a := range support {
+		perExample += crowd.Cost(counts[a]) * price(a)
+	}
+	for len(rows) < len(examples) {
+		rest := examples[len(rows):]
+		n := len(rest)
+		if rem := p.Ledger().Remaining(); rem >= 0 && perExample > 0 && crowd.Cost(n)*perExample > rem {
+			n = max(int(rem/perExample), 1)
+		}
+		qs := make([]crowd.ObjectValueQuestion, 0, n*len(support))
+		for _, e := range rest[:n] {
+			for _, a := range support {
+				qs = append(qs, crowd.ObjectValueQuestion{Object: e.Object, Attr: a, N: counts[a]})
+			}
+		}
+		answers, err := crowd.MultiValueBatch(p, qs)
 		if err != nil {
-			return nil, err
+			return rows, err
 		}
-		out[j] = ans
+		for i := 0; i < n; i++ {
+			row := make([]float64, len(support))
+			for j := range support {
+				row[j] = stats.Mean(answers[i*len(support)+j])
+			}
+			rows = append(rows, row)
+		}
 	}
-	return out, nil
+	return rows, nil
 }

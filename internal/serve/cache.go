@@ -46,17 +46,6 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// builder reports which backend owns the key's plan (built or building),
-// or -1 when the key is absent — the plan-affinity routing input.
-func (c *planCache) builder(key string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		return e.backend
-	}
-	return -1
-}
-
 // peek returns the ready plan for key without counting a hit or bumping
 // recency.
 func (c *planCache) peek(key string) (*core.Plan, bool) {
@@ -74,40 +63,46 @@ func (c *planCache) peek(key string) (*core.Plan, bool) {
 	}
 }
 
-// getOrBuild returns the cached plan for key, building it with build on a
-// miss. hit reports whether the caller avoided running build itself —
-// both a ready entry and joining another session's in-flight build count,
-// since either way this session paid no preprocessing.
-func (c *planCache) getOrBuild(key string, backend int, build func() (*core.Plan, error)) (plan *core.Plan, hit bool, err error) {
+// claim routes a session for key and resolves the key's entry under one
+// lock, so no session can slip between another's routing decision and
+// its claim. pick receives the backend recorded as the key's builder (-1
+// when the key is absent) and returns the session's backend; it runs
+// under the cache lock, so it must not block or call into the cache (a
+// Router.Pick reads only atomic load counters). On a miss the session
+// becomes the builder (owner): the entry records its backend and the
+// caller must settle it with fill. Otherwise the entry is ready or in
+// flight and result waits for it. Both count as a hit for the session,
+// since either way it pays no preprocessing.
+func (c *planCache) claim(key string, pick func(affinity int) int) (e *cacheEntry, backend int, owner bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
 		select {
 		case <-e.ready:
-			// Ready: bump recency and return.
 			c.hits.Add(1)
 			c.order.MoveToFront(e.elem)
-			c.mu.Unlock()
-			return e.plan, true, e.err
 		default:
-			// In flight: wait for the builder.
 			c.waits.Add(1)
-			c.mu.Unlock()
-			<-e.ready
-			return e.plan, true, e.err
 		}
+		return e, pick(e.backend), false
 	}
-	e := &cacheEntry{key: key, backend: backend, ready: make(chan struct{})}
+	backend = pick(-1)
+	e = &cacheEntry{key: key, backend: backend, ready: make(chan struct{})}
 	c.entries[key] = e
 	c.misses.Add(1)
-	c.mu.Unlock()
+	return e, backend, true
+}
 
+// fill runs build for an entry the caller owns and publishes the outcome
+// to every session waiting on it.
+func (c *planCache) fill(e *cacheEntry, build func() (*core.Plan, error)) {
 	e.plan, e.err = build()
 
 	c.mu.Lock()
 	if e.err != nil {
 		// Failed builds are not cached: drop the entry so a later retry
 		// preprocesses afresh. Waiters already joined still see the error.
-		delete(c.entries, key)
+		delete(c.entries, e.key)
 	} else {
 		e.elem = c.order.PushFront(e)
 		for c.order.Len() > c.cap {
@@ -120,7 +115,24 @@ func (c *planCache) getOrBuild(key string, backend int, build func() (*core.Plan
 	}
 	c.mu.Unlock()
 	close(e.ready)
-	return e.plan, false, e.err
+}
+
+// result waits until the entry is final and returns its plan.
+func (e *cacheEntry) result() (*core.Plan, error) {
+	<-e.ready
+	return e.plan, e.err
+}
+
+// getOrBuild is claim followed by fill for the owner, then result: the
+// shape for callers that hold no backend session while they wait. It
+// returns the session's backend and whether it avoided running build.
+func (c *planCache) getOrBuild(key string, pick func(affinity int) int, build func(backend int) (*core.Plan, error)) (plan *core.Plan, backend int, hit bool, err error) {
+	e, backend, owner := c.claim(key, pick)
+	if owner {
+		c.fill(e, func() (*core.Plan, error) { return build(backend) })
+	}
+	plan, err = e.result()
+	return plan, backend, !owner, err
 }
 
 // CacheStats is the plan cache's observability snapshot.

@@ -15,7 +15,7 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 	var builds atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
-	build := func() (*core.Plan, error) {
+	build := func(int) (*core.Plan, error) {
 		builds.Add(1)
 		close(started)
 		<-release
@@ -28,16 +28,19 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		results[0], hits[0], _ = c.getOrBuild("k", 0, build)
+		results[0], _, hits[0], _ = c.getOrBuild("k", at(0), build)
 	}()
 	<-started
 	// 15 more sessions arrive while the build is in flight: all must
-	// coalesce onto it, none may run build.
+	// coalesce onto it, none may run build, and each is routed seeing the
+	// builder's backend.
+	affinities := make([]int, 16)
 	for i := 1; i < 16; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], hits[i], _ = c.getOrBuild("k", 1, func() (*core.Plan, error) {
+			pick := func(affinity int) int { affinities[i] = affinity; return 1 }
+			results[i], _, hits[i], _ = c.getOrBuild("k", pick, func(int) (*core.Plan, error) {
 				t.Error("second build ran")
 				return nil, nil
 			})
@@ -68,18 +71,23 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 	if s.Misses != 1 || s.InflightWaits != 15 || s.Size != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if got := c.builder("k"); got != 0 {
-		t.Fatalf("builder = %d, want 0", got)
+	for i := 1; i < 16; i++ {
+		if affinities[i] != 0 {
+			t.Fatalf("session %d routed with affinity %d, want the builder's 0", i, affinities[i])
+		}
 	}
 }
 
+// at is a routing policy that always picks backend idx.
+func at(idx int) func(int) int { return func(int) int { return idx } }
+
 func TestPlanCacheLRUEviction(t *testing.T) {
 	c := newPlanCache(2)
-	mk := func() (*core.Plan, error) { return &core.Plan{}, nil }
-	c.getOrBuild("a", 0, mk)
-	c.getOrBuild("b", 0, mk)
-	c.getOrBuild("a", 0, mk) // bump a: b is now oldest
-	c.getOrBuild("c", 0, mk) // evicts b
+	mk := func(int) (*core.Plan, error) { return &core.Plan{}, nil }
+	c.getOrBuild("a", at(0), mk)
+	c.getOrBuild("b", at(0), mk)
+	c.getOrBuild("a", at(0), mk) // bump a: b is now oldest
+	c.getOrBuild("c", at(0), mk) // evicts b
 	if _, ok := c.peek("b"); ok {
 		t.Fatal("b survived eviction")
 	}
@@ -98,14 +106,14 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 func TestPlanCacheFailedBuildNotCached(t *testing.T) {
 	c := newPlanCache(2)
 	boom := errors.New("boom")
-	if _, _, err := c.getOrBuild("k", 0, func() (*core.Plan, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, _, err := c.getOrBuild("k", at(0), func(int) (*core.Plan, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, ok := c.peek("k"); ok {
 		t.Fatal("failed build cached")
 	}
 	// The next lookup rebuilds.
-	plan, hit, err := c.getOrBuild("k", 0, func() (*core.Plan, error) { return &core.Plan{}, nil })
+	plan, _, hit, err := c.getOrBuild("k", at(0), func(int) (*core.Plan, error) { return &core.Plan{}, nil })
 	if err != nil || hit || plan == nil {
 		t.Fatalf("rebuild: plan=%v hit=%v err=%v", plan, hit, err)
 	}

@@ -3,8 +3,13 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/crowd"
+	"repro/internal/domain"
 )
 
 // TestConcurrentSessionsHammer drives 16 concurrent sessions — mixed
@@ -101,4 +106,88 @@ func rowsEqual(a, b []Row) bool {
 		}
 	}
 	return true
+}
+
+// slowSessions is a backend platform whose sessions take a moment to
+// open: a fork behind a short sleep, the time a remote or
+// latency-modeled backend spends setting one up. It widens the window
+// between a session's routing decision and its use of the backend.
+type slowSessions struct {
+	crowd.Platform
+	sim *crowd.SimPlatform
+}
+
+func (s slowSessions) ForkPlatform() crowd.Platform {
+	time.Sleep(2 * time.Millisecond)
+	return s.sim.Fork()
+}
+
+// TestPlanAffinityConcurrentColdSessions pins the plan-affinity contract
+// under a cold start: sessions of one key that arrive together, before
+// any of them has built the plan, must all run on the backend that builds
+// it. The two backends run different simulator seeds, so a session routed
+// elsewhere reports another backend and evaluates different answers. Each
+// rep is a fresh tier; one arm runs unsharded sessions only, the other
+// alternates unsharded and 2-shard sessions of the same plan key, so both
+// routing paths race each other. Rows are compared between sessions of
+// the same shard count: shards spread over both backends.
+func TestPlanAffinityConcurrentColdSessions(t *testing.T) {
+	const reps = 10
+	const sessions = 8
+	u := domain.Recipes()
+	objs := u.NewObjects(rand.New(rand.NewSource(7)), 6)
+	newTier := func() *Tier {
+		cfg := Config{Policy: PolicyPlanAffinity, Domain: "recipes", Objects: objs,
+			DefaultBObj: crowd.Cents(4), DefaultBPrc: crowd.Dollars(6)}
+		for i := 0; i < 2; i++ {
+			sim, err := crowd.NewSim(u, crowd.SimOptions{Seed: int64(42 + i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Backends = append(cfg.Backends, Backend{Platform: slowSessions{sim, sim}})
+		}
+		tier, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tier
+	}
+	for _, maxShards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("max-shards=%d", maxShards), func(t *testing.T) {
+			for rep := 0; rep < reps; rep++ {
+				tier := newTier()
+				results := make([]*Result, sessions)
+				errs := make([]error, sessions)
+				start := make(chan struct{})
+				var wg sync.WaitGroup
+				for i := 0; i < sessions; i++ {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						<-start
+						results[i], errs[i] = tier.Execute(context.Background(), Request{
+							Statement: "SELECT Protein", MaxObjects: 4, Shards: 1 + i%maxShards,
+						})
+					}(i)
+				}
+				close(start)
+				wg.Wait()
+				for i := 0; i < sessions; i++ {
+					if errs[i] != nil {
+						t.Fatalf("rep %d session %d: %v", rep, i, errs[i])
+					}
+					if results[i].Backend != results[0].Backend {
+						t.Fatalf("rep %d: session %d ran on %s, session 0 on %s",
+							rep, i, results[i].Backend, results[0].Backend)
+					}
+					if j := i % maxShards; !rowsEqual(results[i].Rows, results[j].Rows) {
+						t.Fatalf("rep %d: session %d rows diverged from session %d's", rep, i, j)
+					}
+				}
+				if misses := tier.Stats().Cache.Misses; misses != 1 {
+					t.Fatalf("rep %d: %d plan builds, want 1", rep, misses)
+				}
+			}
+		})
+	}
 }

@@ -404,6 +404,18 @@ func (t *Tier) planKey(st *query.Statement, bObj, bPrc crowd.Cost) string {
 	return fmt.Sprintf("%s|%s|%d|%d", t.domain, joinAttrs(attrs), bObj, bPrc)
 }
 
+// picker routes sessions of key by the tier's policy, given the backend
+// recorded as the key's builder (-1 when none), clamped to a valid index.
+func (t *Tier) picker(key string) func(affinity int) int {
+	return func(affinity int) int {
+		idx := t.router.Pick(t.backends, key, affinity)
+		if idx < 0 || idx >= len(t.backends) {
+			return 0
+		}
+		return idx
+	}
+}
+
 func joinAttrs(attrs []string) string {
 	sorted := append([]string(nil), attrs...)
 	sort.Strings(sorted)
@@ -463,25 +475,30 @@ func (t *Tier) Execute(ctx context.Context, req Request) (*Result, error) {
 		return t.executeSharded(req, st, objs, bObj, bPrc, key, shards, cm, start)
 	}
 
-	// Route: a plan already (being) built sticks to its backend under
-	// plan-affinity; otherwise the policy picks.
-	affinity := t.cache.builder(key)
-	idx := t.router.Pick(t.backends, key, affinity)
-	if idx < 0 || idx >= len(t.backends) {
-		idx = 0
-	}
+	// Route and claim in one step: under plan-affinity a plan already
+	// (being) built sticks to its builder's backend; otherwise the policy
+	// picks, and a miss makes this session the builder.
+	entry, idx, owner := t.cache.claim(key, t.picker(key))
 	b := t.backends[idx]
 	b.load.startSession()
 	defer b.load.endSession()
 
+	// A joiner waits for the plan before it acquires a session: on a
+	// serialized backend the builder needs that session to finish.
+	if !owner {
+		entry.result()
+	}
 	sess := b.acquire()
 	defer sess.release()
-
-	plan, hit, err := t.cache.getOrBuild(key, idx, func() (*core.Plan, error) {
-		b.load.startBuild()
-		defer b.load.endBuild()
-		return core.Preprocess(sess.platform, st.Query(), bObj, bPrc, t.opts)
-	})
+	if owner {
+		t.cache.fill(entry, func() (*core.Plan, error) {
+			b.load.startBuild()
+			defer b.load.endBuild()
+			return core.Preprocess(sess.platform, st.Query(), bObj, bPrc, t.opts)
+		})
+	}
+	plan, err := entry.result()
+	hit := !owner
 	if err != nil {
 		cm.errors.Add(1)
 		return nil, err

@@ -41,27 +41,23 @@ func (t *Tier) executeSharded(req Request, st *query.Statement, objs []*domain.O
 	bObj, bPrc crowd.Cost, key string, shards int, cm *classMetrics, start time.Time) (*Result, error) {
 	parts := t.partitioner.Partition(objs, shards)
 
-	// Build (or fetch) the one shard-independent plan on its home
-	// backend, then release the build session before scattering — on a
+	// Route, then build (or fetch) the one shard-independent plan on its
+	// home backend, releasing the build session before scattering — on a
 	// mutex-serialized backend, holding it here would deadlock the
 	// shards that need to acquire it below.
-	affinity := t.cache.builder(key)
-	idx := t.router.Pick(t.backends, key, affinity)
-	if idx < 0 || idx >= len(t.backends) {
-		idx = 0
-	}
-	home := t.backends[idx]
-	buildSess := home.acquire()
-	plan, hit, err := t.cache.getOrBuild(key, idx, func() (*core.Plan, error) {
-		home.load.startBuild()
-		defer home.load.endBuild()
+	plan, idx, hit, err := t.cache.getOrBuild(key, t.picker(key), func(idx int) (*core.Plan, error) {
+		b := t.backends[idx]
+		buildSess := b.acquire()
+		defer buildSess.release()
+		b.load.startBuild()
+		defer b.load.endBuild()
 		return core.Preprocess(buildSess.platform, st.Query(), bObj, bPrc, t.opts)
 	})
-	buildSess.release()
 	if err != nil {
 		cm.errors.Add(1)
 		return nil, err
 	}
+	home := t.backends[idx]
 	if hit {
 		cm.cacheHits.Add(1)
 	} else {
