@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"sync/atomic"
 
-	"repro/internal/crowd"
 	"repro/internal/serve"
 )
 
@@ -21,34 +20,12 @@ import (
 // wire so the *client* runs the pipeline, the query API moves whole
 // queries: the server owns planning, caching, routing and budgets, and
 // the client is a thin Executor — the deployment shape of a shared
-// multi-tenant service.
+// multi-tenant service. A query body is serve.Request's JSON form and a
+// reply is serve.Result's.
 const (
 	PathServeQuery = "/v1/serve/query"
 	PathServeStats = "/v1/serve/stats"
 )
-
-// queryWire is serve.Request on the wire (budgets in mills, matching
-// crowd.Cost's unit everywhere else in the API).
-type queryWire struct {
-	Statement  string `json:"statement"`
-	Class      string `json:"class,omitempty"`
-	ObjectIDs  []int  `json:"object_ids,omitempty"`
-	MaxObjects int    `json:"max_objects,omitempty"`
-	BObjMills  int64  `json:"b_obj_mills,omitempty"`
-	BPrcMills  int64  `json:"b_prc_mills,omitempty"`
-	Adaptive   bool   `json:"adaptive,omitempty"`
-	// Lazy runs the session through the lazy short-circuit evaluator
-	// (mutually exclusive with Adaptive, mirroring serve.Request).
-	Lazy bool `json:"lazy,omitempty"`
-	// Shards overrides the server tier's shard count for this session
-	// (0 = server default). The scatter happens tier-side: the client
-	// still sends one request and receives one merged row set.
-	Shards int `json:"shards,omitempty"`
-	// Reuse opts the session into the server tier's shared answer cache
-	// (serve.Request.ReuseAnswers); a no-op when the tier runs without
-	// one.
-	Reuse bool `json:"reuse,omitempty"`
-}
 
 // QueryServer adapts a serve.Tier to the query API.
 type QueryServer struct {
@@ -81,24 +58,13 @@ func (s *QueryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("crowdhttp: %s requires POST", r.URL.Path))
 		return
 	}
-	var wire queryWire
-	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
+	var req serve.Request
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("crowdhttp: bad request body: %w", err))
 		return
 	}
 	s.queries.Add(1)
-	res, err := s.tier.Execute(r.Context(), serve.Request{
-		Statement:    wire.Statement,
-		Class:        wire.Class,
-		ObjectIDs:    wire.ObjectIDs,
-		MaxObjects:   wire.MaxObjects,
-		BObj:         crowd.Cost(wire.BObjMills),
-		BPrc:         crowd.Cost(wire.BPrcMills),
-		Adaptive:     wire.Adaptive,
-		Lazy:         wire.Lazy,
-		Shards:       wire.Shards,
-		ReuseAnswers: wire.Reuse,
-	})
+	res, err := s.tier.Execute(r.Context(), req)
 	if err != nil {
 		writeError(w, queryStatusFor(err), err)
 		return
@@ -108,7 +74,8 @@ func (s *QueryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // queryStatusFor maps a tier error onto HTTP: admission sheds are 429
 // (the one retryable-after-backoff case), everything else — parse
-// errors, unknown objects, budget exhaustion — is a terminal 400.
+// errors, unknown or repeated objects, budget exhaustion — is a
+// terminal 400.
 func queryStatusFor(err error) int {
 	if errors.Is(err, serve.ErrRejected) {
 		return http.StatusTooManyRequests
@@ -139,18 +106,7 @@ func NewQueryClient(base string, httpClient *http.Client) *QueryClient {
 
 // Execute implements serve.Executor over the wire.
 func (c *QueryClient) Execute(ctx context.Context, req serve.Request) (*serve.Result, error) {
-	body, err := json.Marshal(queryWire{
-		Statement:  req.Statement,
-		Class:      req.Class,
-		ObjectIDs:  req.ObjectIDs,
-		MaxObjects: req.MaxObjects,
-		BObjMills:  int64(req.BObj),
-		BPrcMills:  int64(req.BPrc),
-		Adaptive:   req.Adaptive,
-		Lazy:       req.Lazy,
-		Shards:     req.Shards,
-		Reuse:      req.ReuseAnswers,
-	})
+	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}

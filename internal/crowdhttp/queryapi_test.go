@@ -2,8 +2,13 @@ package crowdhttp
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -131,6 +136,62 @@ func TestQueryAPIRejectionKeepsIdentity(t *testing.T) {
 	_, err := client.Execute(ctx, serve.Request{Statement: "SELECT Protein", Class: "batch", MaxObjects: 1})
 	if !errors.Is(err, serve.ErrRejected) {
 		t.Fatalf("err = %v, want serve.ErrRejected through the wire", err)
+	}
+}
+
+// TestQueryAPIWireFormatUnchanged pins the query body's JSON shape,
+// which is serve.Request's own: a body written with every wire key
+// decodes to the expected request, and the client emits exactly that key
+// set (only "statement" for a request that sets nothing else).
+func TestQueryAPIWireFormatUnchanged(t *testing.T) {
+	const body = `{"statement":"SELECT Protein","class":"batch","object_ids":[3,1],` +
+		`"max_objects":2,"b_obj_mills":50,"b_prc_mills":6000,"adaptive":true,` +
+		`"lazy":true,"shards":2,"reuse":true}`
+	want := serve.Request{
+		Statement: "SELECT Protein", Class: "batch", ObjectIDs: []int{3, 1}, MaxObjects: 2,
+		BObj: crowd.Cents(5), BPrc: crowd.Dollars(6), Adaptive: true, Lazy: true, Shards: 2,
+		ReuseAnswers: true,
+	}
+	dec := json.NewDecoder(strings.NewReader(body))
+	dec.DisallowUnknownFields()
+	var got serve.Request
+	if err := dec.Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+
+	var sent []byte
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sent, _ = io.ReadAll(r.Body)
+		w.Write([]byte(`{"rows":[]}`))
+	}))
+	defer ts.Close()
+	client := NewQueryClient(ts.URL, ts.Client())
+	for _, tc := range []struct {
+		req  serve.Request
+		keys []string
+	}{
+		{want, []string{"adaptive", "b_obj_mills", "b_prc_mills", "class", "lazy", "max_objects",
+			"object_ids", "reuse", "shards", "statement"}},
+		{serve.Request{Statement: "SELECT Protein"}, []string{"statement"}},
+	} {
+		if _, err := client.Execute(context.Background(), tc.req); err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(sent, &fields); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 0, len(fields))
+		for k := range fields {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if !reflect.DeepEqual(keys, tc.keys) {
+			t.Fatalf("client sent keys %v, want %v", keys, tc.keys)
+		}
 	}
 }
 

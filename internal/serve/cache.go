@@ -63,19 +63,22 @@ func (c *planCache) peek(key string) (*core.Plan, bool) {
 	}
 }
 
-// claim routes a session for key and resolves the key's entry under one
-// lock, so no session can slip between another's routing decision and
-// its claim. pick receives the backend recorded as the key's builder (-1
-// when the key is absent) and returns the session's backend; it runs
-// under the cache lock, so it must not block or call into the cache (a
-// Router.Pick reads only atomic load counters). On a miss the session
-// becomes the builder (owner): the entry records its backend and the
-// caller must settle it with fill. Otherwise the entry is ready or in
-// flight and result waits for it. Both count as a hit for the session,
-// since either way it pays no preprocessing.
-func (c *planCache) claim(key string, pick func(affinity int) int) (e *cacheEntry, backend int, owner bool) {
+// getOrBuild routes a session for key and returns the key's plan, the
+// session's backend, and whether the session avoided running build.
+//
+// Routing and the claim on the key are one step under the cache lock, so
+// no session can slip between another's routing decision and its claim.
+// pick receives the backend recorded as the key's builder (-1 when the
+// key is absent) and returns the session's backend; it runs under the
+// cache lock, so it must not block or call into the cache (a Router.Pick
+// reads only atomic load counters). On a miss the session becomes the
+// builder: the entry records its backend, build runs outside the lock,
+// and the outcome is published to every session waiting on it.
+// Otherwise the entry is ready or in flight and the session waits for
+// it; either way it pays no preprocessing, so both count as a hit.
+// Callers hold no backend session while they call this.
+func (c *planCache) getOrBuild(key string, pick func(affinity int) int, build func(backend int) (*core.Plan, error)) (*core.Plan, int, bool, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
 		select {
 		case <-e.ready:
@@ -84,20 +87,18 @@ func (c *planCache) claim(key string, pick func(affinity int) int) (e *cacheEntr
 		default:
 			c.waits.Add(1)
 		}
-		return e, pick(e.backend), false
+		backend := pick(e.backend)
+		c.mu.Unlock()
+		<-e.ready
+		return e.plan, backend, true, e.err
 	}
-	backend = pick(-1)
-	e = &cacheEntry{key: key, backend: backend, ready: make(chan struct{})}
+	backend := pick(-1)
+	e := &cacheEntry{key: key, backend: backend, ready: make(chan struct{})}
 	c.entries[key] = e
 	c.misses.Add(1)
-	return e, backend, true
-}
+	c.mu.Unlock()
 
-// fill runs build for an entry the caller owns and publishes the outcome
-// to every session waiting on it.
-func (c *planCache) fill(e *cacheEntry, build func() (*core.Plan, error)) {
-	e.plan, e.err = build()
-
+	e.plan, e.err = build(backend)
 	c.mu.Lock()
 	if e.err != nil {
 		// Failed builds are not cached: drop the entry so a later retry
@@ -115,24 +116,7 @@ func (c *planCache) fill(e *cacheEntry, build func() (*core.Plan, error)) {
 	}
 	c.mu.Unlock()
 	close(e.ready)
-}
-
-// result waits until the entry is final and returns its plan.
-func (e *cacheEntry) result() (*core.Plan, error) {
-	<-e.ready
-	return e.plan, e.err
-}
-
-// getOrBuild is claim followed by fill for the owner, then result: the
-// shape for callers that hold no backend session while they wait. It
-// returns the session's backend and whether it avoided running build.
-func (c *planCache) getOrBuild(key string, pick func(affinity int) int, build func(backend int) (*core.Plan, error)) (plan *core.Plan, backend int, hit bool, err error) {
-	e, backend, owner := c.claim(key, pick)
-	if owner {
-		c.fill(e, func() (*core.Plan, error) { return build(backend) })
-	}
-	plan, err = e.result()
-	return plan, backend, !owner, err
+	return e.plan, backend, false, e.err
 }
 
 // CacheStats is the plan cache's observability snapshot.

@@ -173,7 +173,7 @@ type ClassStats struct {
 	ReuseSessions   int64 `json:"reuse_sessions"`
 	AnswersReused   int64 `json:"answers_reused"`
 	SpendSavedMills int64 `json:"spend_saved_mills"`
-	// ShardedSessions counts sessions that took the scatter-gather path.
+	// ShardedSessions counts sessions scattered over more than one shard.
 	ShardedSessions int64 `json:"sharded_sessions"`
 }
 
@@ -181,7 +181,7 @@ type ClassStats struct {
 type Stats struct {
 	Policy string `json:"policy"`
 	// Shards and Partition echo the tier's sharding configuration
-	// (shards = 1 means the unsharded path).
+	// (shards = 1: every session's set is one shard by default).
 	Shards    int    `json:"shards"`
 	Partition string `json:"partition"`
 	UptimeNs  int64  `json:"uptime_ns"`

@@ -62,8 +62,8 @@ func (r *roundRobin) Pick(backends []*backend, key string, affinity int) int {
 
 // leastLoaded sends the session to the backend with the fewest in-flight
 // questions (outstanding value questions of active sessions, the best
-// proxy for remaining crowd work), breaking ties by in-flight sessions,
-// then index.
+// proxy for remaining crowd work), breaking ties by in-flight sessions
+// and plan builds, then index.
 type leastLoaded struct{}
 
 func (leastLoaded) Name() string { return PolicyLeastLoaded }
@@ -129,7 +129,13 @@ func (l *backendLoad) startBuild() {
 }
 func (l *backendLoad) endBuild()        { l.buildsInFlight.Add(-1) }
 func (l *backendLoad) questions() int64 { return l.inflightQuestions.Load() }
-func (l *backendLoad) sessions() int64  { return l.inflightSessions.Load() }
+
+// sessions counts the sessions in flight on the backend, a plan build as
+// one: a build holds a session of its own, released before evaluation,
+// so concurrent cold sessions must see it to spread their builds.
+func (l *backendLoad) sessions() int64 {
+	return l.inflightSessions.Load() + l.buildsInFlight.Load()
+}
 
 // noteAnswered records online questions a completed session actually
 // asked on this backend — the per-backend work volume the sharding

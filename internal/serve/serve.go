@@ -19,13 +19,14 @@
 //     policy (round-robin, least-loaded by in-flight questions, or
 //     plan-affinity, which sticks a cached plan to the backend whose
 //     answer streams built it so memoized answers are reused).
-//   - Sharding (optional): with ≥ 2 shards configured, each query's
-//     object set is partitioned deterministically (hash or range over
-//     object IDs) and scattered over per-shard COW sessions evaluated in
-//     parallel, the per-shard rows gathered back into evaluation order.
-//     One plan build serves all shards (the plan is shard-independent),
-//     and shards partition objects, never answers — per-object estimates
-//     are bit-equal to the unsharded run.
+//   - Sharding: each query's object set is partitioned deterministically
+//     (hash or range over object IDs) into S ≥ 1 shards and scattered
+//     over per-shard COW sessions evaluated in parallel, the per-shard
+//     rows gathered back into evaluation order. Every session takes this
+//     one path; S = 1 is a single shard holding the whole set. One plan
+//     build serves all shards (the plan is shard-independent), and shards
+//     partition objects, never answers — per-object estimates are
+//     bit-equal at every S.
 //
 // Each session runs on a private fork of its backend when the platform
 // supports copy-on-write snapshots (crowd.SimPlatform does): the fork has
@@ -43,7 +44,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -86,8 +87,8 @@ type Config struct {
 	DefaultBPrc crowd.Cost
 	// Shards splits every query's evaluation set into this many object
 	// partitions evaluated in parallel, one COW session per shard
-	// (0 or 1 = the unsharded path, which stays bit-equal to the
-	// pre-sharding tier). Requests can override per session.
+	// (0 = 1: the whole set is one shard). Requests can override per
+	// session.
 	Shards int
 	// Partition picks the shard-assignment policy by name: "hash" (the
 	// default) or "range".
@@ -117,42 +118,44 @@ type Config struct {
 	now func() time.Time
 }
 
-// Request is one query session.
+// Request is one query session. Its JSON form is the body of the query
+// API (crowdhttp.PathServeQuery); budgets travel in mills, crowd.Cost's
+// unit.
 type Request struct {
 	// Statement is the SELECT/WHERE text to evaluate.
-	Statement string
+	Statement string `json:"statement"`
 	// Class is the SLO class ("interactive" when empty).
-	Class string
-	// ObjectIDs restricts evaluation to these registered objects
-	// (nil = every registered object).
-	ObjectIDs []int
+	Class string `json:"class,omitempty"`
+	// ObjectIDs restricts evaluation to these registered objects, each
+	// named once (nil = every registered object).
+	ObjectIDs []int `json:"object_ids,omitempty"`
 	// MaxObjects truncates evaluation to the first n registered objects
 	// (0 = no limit). Ignored when ObjectIDs is set.
-	MaxObjects int
+	MaxObjects int `json:"max_objects,omitempty"`
 	// BObj/BPrc override the tier's default budgets when nonzero.
-	BObj crowd.Cost
-	BPrc crowd.Cost
+	BObj crowd.Cost `json:"b_obj_mills,omitempty"`
+	BPrc crowd.Cost `json:"b_prc_mills,omitempty"`
 	// Adaptive opts the session into the adaptive online evaluator:
 	// sequential stopping, reliability weighting and budget reallocation
 	// (internal/adaptive), tuned by the tier's Config.Adaptive. The
 	// fixed-budget path and its determinism pins are unaffected.
-	Adaptive bool
+	Adaptive bool `json:"adaptive,omitempty"`
 	// Shards overrides the tier's configured shard count for this
-	// session (0 = tier default; 1 forces the unsharded path). The count
-	// is clamped to the evaluation set's size.
-	Shards int
+	// session (0 = tier default; 1 = one shard holding the whole set).
+	// The count is clamped to the evaluation set's size.
+	Shards int `json:"shards,omitempty"`
 	// Lazy opts the session into the lazy predicate-ordered evaluator:
 	// short-circuit filters, confidence-based early decisions and top-k
 	// pruning (query.LazyConfig), tuned by the tier's Config.Lazy.
 	// Mutually exclusive with Adaptive.
-	Lazy bool
+	Lazy bool `json:"lazy,omitempty"`
 	// ReuseAnswers opts the session into the tier's shared answer cache:
 	// fully-budgeted answer means it pays for are published for other
 	// sessions, and cached means are served instead of re-asking the
 	// crowd — rows stay bit-equal at lower OnlineSpent. Ignored when the
 	// tier has no cache (Config.AnswerCache 0) and by adaptive sessions
 	// (their variable answer counts have no full-budget means to share).
-	ReuseAnswers bool
+	ReuseAnswers bool `json:"reuse,omitempty"`
 }
 
 // Row is one object that passed the statement's WHERE filter.
@@ -183,7 +186,7 @@ type Result struct {
 	// adaptive evaluator skipped (0 on the fixed path).
 	QuestionsSaved int64 `json:"questions_saved,omitempty"`
 	// Shards is how many object partitions the session's evaluation was
-	// scattered over (1 = the unsharded path).
+	// scattered over (1 = the whole set as one shard).
 	Shards int `json:"shards,omitempty"`
 	// Lazy reports whether the session ran the lazy evaluator;
 	// ObjectsPruned and QuestionsSkipped are its savings counters
@@ -270,9 +273,9 @@ type Tier struct {
 	adm         *admission
 	metrics     *metrics
 	opts        core.Options
-	adaptive    *adaptive.Config
-	lazy        *query.LazyConfig
-	shards      int
+	adaptive    *adaptive.Config  // defaults resolved by New
+	lazy        *query.LazyConfig // defaults resolved by New
+	shards      int               // ≥ 1
 	partitioner Partitioner
 	answers     *answerCache // nil when Config.AnswerCache is 0
 
@@ -313,6 +316,16 @@ func New(cfg Config) (*Tier, error) {
 	}
 	if cfg.DefaultBPrc <= 0 {
 		cfg.DefaultBPrc = crowd.Dollars(10)
+	}
+	if cfg.Shards == 0 {
+		cfg.Shards = 1
+	}
+	if cfg.Adaptive == nil {
+		d := adaptive.Defaults()
+		cfg.Adaptive = &d
+	}
+	if cfg.Lazy == nil {
+		cfg.Lazy = query.LazyDefaults()
 	}
 	now := cfg.now
 	if now == nil {
@@ -372,18 +385,25 @@ func (t *Tier) RegisterObjects(objs []*domain.Object) {
 	}
 }
 
-// resolveObjects materializes the request's object list in registration
-// order.
+// resolveObjects materializes the request's object list: ObjectIDs in
+// their given order, else the registered objects in registration order.
+// An unknown or repeated ID is malformed input — the gather ranks rows by
+// object ID, so each object may appear in the evaluation set only once.
 func (t *Tier) resolveObjects(req Request) ([]*domain.Object, error) {
 	t.objMu.RLock()
 	defer t.objMu.RUnlock()
 	if len(req.ObjectIDs) > 0 {
 		out := make([]*domain.Object, 0, len(req.ObjectIDs))
+		seen := make(map[int]struct{}, len(req.ObjectIDs))
 		for _, id := range req.ObjectIDs {
 			o, ok := t.byID[id]
 			if !ok {
 				return nil, fmt.Errorf("serve: unknown object %d", id)
 			}
+			if _, dup := seen[id]; dup {
+				return nil, fmt.Errorf("serve: object %d named more than once", id)
+			}
+			seen[id] = struct{}{}
 			out = append(out, o)
 		}
 		return out, nil
@@ -401,7 +421,18 @@ func (t *Tier) resolveObjects(req Request) ([]*domain.Object, error) {
 // share a plan regardless of SELECT order or WHERE constants.
 func (t *Tier) planKey(st *query.Statement, bObj, bPrc crowd.Cost) string {
 	attrs := st.Attributes() // already deduplicated and sorted
-	return fmt.Sprintf("%s|%s|%d|%d", t.domain, joinAttrs(attrs), bObj, bPrc)
+	return fmt.Sprintf("%s|%s|%d|%d", t.domain, strings.Join(attrs, ","), bObj, bPrc)
+}
+
+// budgets applies the tier's defaults to zero (unset) budgets.
+func (t *Tier) budgets(bObj, bPrc crowd.Cost) (crowd.Cost, crowd.Cost) {
+	if bObj <= 0 {
+		bObj = t.defBObj
+	}
+	if bPrc <= 0 {
+		bPrc = t.defBPrc
+	}
+	return bObj, bPrc
 }
 
 // picker routes sessions of key by the tier's policy, given the backend
@@ -416,22 +447,10 @@ func (t *Tier) picker(key string) func(affinity int) int {
 	}
 }
 
-func joinAttrs(attrs []string) string {
-	sorted := append([]string(nil), attrs...)
-	sort.Strings(sorted)
-	out := ""
-	for i, a := range sorted {
-		if i > 0 {
-			out += ","
-		}
-		out += a
-	}
-	return out
-}
-
-// Execute runs one query session end to end: admission, parse, routing,
-// plan lookup/build, online evaluation. It implements Executor.
-func (t *Tier) Execute(ctx context.Context, req Request) (*Result, error) {
+// Execute runs one query session end to end: admission, parse, object
+// resolution and the plan key, then the one session path (session, in
+// shard.go) at the effective shard count. It implements Executor.
+func (t *Tier) Execute(ctx context.Context, req Request) (res *Result, err error) {
 	start := t.metrics.now()
 	class := req.Class
 	if class == "" {
@@ -443,147 +462,26 @@ func (t *Tier) Execute(ctx context.Context, req Request) (*Result, error) {
 		cm.rejected.Add(1)
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			cm.errors.Add(1)
+		}
+	}()
 
 	st, err := query.Parse(req.Statement)
 	if err != nil {
-		cm.errors.Add(1)
 		return nil, err
 	}
 	if req.Adaptive && req.Lazy {
-		cm.errors.Add(1)
 		return nil, errors.New("serve: adaptive and lazy modes are mutually exclusive")
 	}
 	objs, err := t.resolveObjects(req)
 	if err != nil {
-		cm.errors.Add(1)
 		return nil, err
 	}
-	bObj, bPrc := req.BObj, req.BPrc
-	if bObj <= 0 {
-		bObj = t.defBObj
-	}
-	if bPrc <= 0 {
-		bPrc = t.defBPrc
-	}
+	bObj, bPrc := t.budgets(req.BObj, req.BPrc)
 	key := t.planKey(st, bObj, bPrc)
-
-	// Scatter-gather dispatch: with S ≥ 2 effective shards the session
-	// forks one COW sub-session per object partition and evaluates them
-	// in parallel. S ≤ 1 continues on the unsharded path below, which is
-	// pinned bit-equal to the pre-sharding tier.
-	if shards := t.effectiveShards(req, len(objs)); shards > 1 {
-		return t.executeSharded(req, st, objs, bObj, bPrc, key, shards, cm, start)
-	}
-
-	// Route and claim in one step: under plan-affinity a plan already
-	// (being) built sticks to its builder's backend; otherwise the policy
-	// picks, and a miss makes this session the builder.
-	entry, idx, owner := t.cache.claim(key, t.picker(key))
-	b := t.backends[idx]
-	b.load.startSession()
-	defer b.load.endSession()
-
-	// A joiner waits for the plan before it acquires a session: on a
-	// serialized backend the builder needs that session to finish.
-	if !owner {
-		entry.result()
-	}
-	sess := b.acquire()
-	defer sess.release()
-	if owner {
-		t.cache.fill(entry, func() (*core.Plan, error) {
-			b.load.startBuild()
-			defer b.load.endBuild()
-			return core.Preprocess(sess.platform, st.Query(), bObj, bPrc, t.opts)
-		})
-	}
-	plan, err := entry.result()
-	hit := !owner
-	if err != nil {
-		cm.errors.Add(1)
-		return nil, err
-	}
-	if hit {
-		cm.cacheHits.Add(1)
-	} else {
-		cm.cacheMisses.Add(1)
-	}
-
-	// Weigh the session's remaining work for least-loaded routing: the
-	// plan names every value question an object costs.
-	if qs, qerr := plan.Questions(); qerr == nil {
-		n := int64(len(qs) * len(objs))
-		b.load.addQuestions(n)
-		defer b.load.addQuestions(-n)
-	}
-
-	engine, err := query.NewEngine(sess.platform, plan, st)
-	if err != nil {
-		cm.errors.Add(1)
-		return nil, err
-	}
-	if req.Adaptive {
-		acfg := t.adaptive
-		if acfg == nil {
-			d := adaptive.Defaults()
-			acfg = &d
-		}
-		engine.SetAdaptive(acfg)
-		cm.adaptiveSessions.Add(1)
-	}
-	if req.Lazy {
-		engine.SetLazy(t.lazyConfig())
-		cm.lazySessions.Add(1)
-	}
-	reuse := t.reuseOn(req)
-	if reuse {
-		engine.SetReuse(t.answers.memoFor(t.domain))
-		cm.reuseSessions.Add(1)
-	}
-	rows, err := engine.Execute(st, objs)
-	if err != nil {
-		cm.errors.Add(1)
-		return nil, err
-	}
-
-	out := &Result{
-		Rows:           make([]Row, len(rows)),
-		CacheHit:       hit,
-		Backend:        b.name,
-		PreprocessCost: plan.PreprocessCost,
-		OnlineSpent:    sess.ledger.Spent(),
-		Adaptive:       req.Adaptive,
-		Shards:         1,
-		Latency:        t.metrics.now().Sub(start),
-	}
-	if req.Adaptive {
-		saved := engine.AdaptiveStats().Saved
-		out.QuestionsSaved = saved
-		cm.questionsSaved.Add(saved)
-	}
-	if req.Lazy {
-		ls := engine.LazyStats()
-		out.Lazy = true
-		out.ObjectsPruned = ls.ObjectsPruned
-		out.QuestionsSkipped = ls.QuestionsSkipped
-		cm.objectsPruned.Add(ls.ObjectsPruned)
-		cm.questionsSkipped.Add(ls.QuestionsSkipped)
-	}
-	if reuse {
-		rs := engine.ReuseStats()
-		out.Reuse = true
-		out.AnswersReused = rs.AnswersReused
-		out.SpendSavedMills = rs.SpendSavedMills
-		cm.answersReused.Add(rs.AnswersReused)
-		cm.spendSavedMills.Add(rs.SpendSavedMills)
-	}
-	for i, r := range rows {
-		out.Rows[i] = resultRow(st, r)
-	}
-	asked := questionsAsked(sess.ledger)
-	b.load.noteAnswered(asked)
-	cm.observe(out.Latency, out.OnlineSpent, asked)
-	return out, nil
+	return t.session(req, st, objs, bObj, bPrc, key, t.effectiveShards(req, len(objs)), cm, start)
 }
 
 // reuseOn reports whether a session runs against the shared answer
@@ -592,14 +490,6 @@ func (t *Tier) Execute(ctx context.Context, req Request) (*Result, error) {
 // full-budget means the cache keys on).
 func (t *Tier) reuseOn(req Request) bool {
 	return req.ReuseAnswers && t.answers != nil && !req.Adaptive
-}
-
-// lazyConfig resolves the tier's lazy evaluator tuning.
-func (t *Tier) lazyConfig() *query.LazyConfig {
-	if t.lazy != nil {
-		return t.lazy
-	}
-	return query.LazyDefaults()
 }
 
 // resultRow converts an engine row to the wire shape, carrying the sort
@@ -649,12 +539,7 @@ func (t *Tier) CachedPlan(statement string, bObj, bPrc crowd.Cost) (*core.Plan, 
 	if err != nil {
 		return nil, false
 	}
-	if bObj <= 0 {
-		bObj = t.defBObj
-	}
-	if bPrc <= 0 {
-		bPrc = t.defBPrc
-	}
+	bObj, bPrc = t.budgets(bObj, bPrc)
 	return t.cache.peek(t.planKey(st, bObj, bPrc))
 }
 
@@ -663,9 +548,7 @@ func (t *Tier) Stats() Stats {
 	s := t.metrics.snapshot()
 	s.Policy = t.router.Name()
 	s.Partition = t.partitioner.Name()
-	if s.Shards = t.shards; s.Shards < 1 {
-		s.Shards = 1
-	}
+	s.Shards = t.shards
 	s.Cache = t.cache.stats()
 	if t.answers != nil {
 		s.AnswerCache = t.answers.stats()

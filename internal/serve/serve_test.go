@@ -148,6 +148,14 @@ func TestObjectSelection(t *testing.T) {
 	if _, err := tier.Execute(ctx, Request{Statement: "SELECT Protein", ObjectIDs: []int{99999}}); err == nil {
 		t.Fatal("unknown object id must error")
 	}
+	// A repeated id is malformed too: the gather ranks rows by object id,
+	// so a repeat would reorder the sharded rows.
+	for _, shards := range []int{0, 2} {
+		repeated := []int{ids[0], ids[1], ids[0]}
+		if _, err := tier.Execute(ctx, Request{Statement: "SELECT Protein", ObjectIDs: repeated, Shards: shards}); err == nil {
+			t.Fatalf("Shards=%d: repeated object id must error", shards)
+		}
+	}
 }
 
 func TestExecuteErrorsCounted(t *testing.T) {
@@ -266,6 +274,28 @@ func TestLeastLoadedPick(t *testing.T) {
 	backends[1].load.startSession()
 	if got := r.Pick(backends, "k", -1); got != 2 {
 		t.Fatalf("Pick = %d, want 2 (tie broken by sessions)", got)
+	}
+}
+
+// TestLeastLoadedCountsPlanBuilds: a plan build holds its own session,
+// released before evaluation, so a build in flight must weigh like an
+// in-flight session — otherwise concurrent cold sessions of different
+// keys all build on the same backend.
+func TestLeastLoadedCountsPlanBuilds(t *testing.T) {
+	backends := []*backend{{name: "a"}, {name: "b"}}
+	backends[0].load.startBuild()
+	for _, policy := range []string{PolicyLeastLoaded, PolicyPlanAffinity} {
+		r, err := NewRouter(policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Pick(backends, "k", -1); got != 1 {
+			t.Fatalf("%s: Pick = %d, want 1 (a is building a plan)", policy, got)
+		}
+	}
+	backends[0].load.endBuild()
+	if got := (leastLoaded{}).Pick(backends, "k", -1); got != 0 {
+		t.Fatalf("Pick = %d after the build ended, want 0", got)
 	}
 }
 
