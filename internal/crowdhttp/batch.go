@@ -1,7 +1,6 @@
 package crowdhttp
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -52,22 +51,13 @@ type (
 	}
 )
 
-// batchSubKey derives the per-item idempotency key of batch item i. Items
-// record individually under these sub-keys as they succeed, so a batch
-// retried under the same key (after a timeout or an injected drop that
-// the whole-batch replay missed) serves already-executed items from the
-// replay cache instead of re-executing them — the same
-// never-advance-a-stream-twice guarantee the single-question endpoints
-// have, kept at item granularity.
-func batchSubKey(key string, i int) string {
-	return fmt.Sprintf("%s#%d", key, i)
-}
-
 // handleBatch executes a heterogeneous question batch. Items run
 // concurrently on the shared computation pool; each item's failure is
 // reported in its slot rather than failing the batch, so one bad item
 // cannot discard its siblings' (already charged) answers. The response
-// is always 200 unless the request itself is malformed.
+// is always 200 unless the request itself is malformed, so wrap records
+// the whole batch under its idempotency key and a retried batch replays
+// it whole: no item executes twice.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if !decode(w, r, &req) {
@@ -86,42 +76,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.batchItemCount.Add(int64(len(req.Items)))
 
 	results := make([]batchItemResult, len(req.Items))
-	var todo []int
-	if req.IdempotencyKey == "" {
-		todo = make([]int, len(req.Items))
-		for i := range todo {
-			todo[i] = i
-		}
-	} else {
-		s.idemMu.Lock()
-		for i := range req.Items {
-			rec, ok := s.idem[batchSubKey(req.IdempotencyKey, i)]
-			if ok && json.Unmarshal(rec.body, &results[i]) == nil {
-				continue
-			}
-			results[i] = batchItemResult{}
-			todo = append(todo, i)
-		}
-		s.idemMu.Unlock()
-		s.batchItemReplays.Add(int64(len(req.Items) - len(todo)))
-	}
-
-	core.ForEach(len(todo), 0, func(k int) {
-		results[todo[k]] = s.executeItem(req.Items[todo[k]])
+	core.ForEach(len(req.Items), 0, func(i int) {
+		results[i] = s.executeItem(req.Items[i])
 	})
-
-	if req.IdempotencyKey != "" {
-		s.idemMu.Lock()
-		for _, i := range todo {
-			if results[i].Error != "" {
-				continue
-			}
-			if body, err := json.Marshal(results[i]); err == nil {
-				s.idem[batchSubKey(req.IdempotencyKey, i)] = idemRecord{status: http.StatusOK, body: body}
-			}
-		}
-		s.idemMu.Unlock()
-	}
 	writeJSON(w, http.StatusOK, batchResponse{Items: results})
 }
 
@@ -148,14 +105,7 @@ func (s *Server) executeItem(it batchItem) batchItemResult {
 		if err != nil {
 			return fail(err)
 		}
-		out := make([]exampleWire, len(examples))
-		s.mu.Lock()
-		for i, ex := range examples {
-			s.objects[ex.Object.ID] = ex.Object
-			out[i] = exampleWire{ObjectID: ex.Object.ID, Values: ex.Values}
-		}
-		s.mu.Unlock()
-		return batchItemResult{Examples: out}
+		return batchItemResult{Examples: s.register(examples)}
 	case "meta":
 		return batchItemResult{Meta: &metaResponse{
 			Sigma:  s.platform.Sigma(it.Attribute),
@@ -173,19 +123,18 @@ type ServerStats struct {
 	// Requests counts HTTP requests per endpoint path (including replays
 	// and fault-rejected ones).
 	Requests map[string]int64 `json:"requests"`
-	// ReplayHits counts whole requests answered from the idempotency
-	// replay cache without touching the platform.
+	// ReplayHits counts requests answered from the idempotency table
+	// (recorded, or awaited in flight) without touching the platform.
 	ReplayHits int64 `json:"replay_hits"`
 	// Batches/BatchItems count /v1/batch requests and the items they
-	// carried; BatchItemReplays counts items served from per-item
-	// sub-key records inside retried batches.
-	Batches          int64 `json:"batches"`
-	BatchItems       int64 `json:"batch_items"`
-	BatchItemReplays int64 `json:"batch_item_replays"`
+	// carried.
+	Batches    int64 `json:"batches"`
+	BatchItems int64 `json:"batch_items"`
 	// InjectedFaults counts request-level fault injections (faulty
 	// servers only).
 	InjectedFaults int64 `json:"injected_faults"`
-	// RegisteredObjects and IdemRecords size the server's two registries.
+	// RegisteredObjects and IdemRecords (≤ idemMaxRecords) size the
+	// server's two registries.
 	RegisteredObjects int `json:"registered_objects"`
 	IdemRecords       int `json:"idem_records"`
 }
@@ -193,12 +142,11 @@ type ServerStats struct {
 // Stats returns the current observability counters.
 func (s *Server) Stats() ServerStats {
 	st := ServerStats{
-		Requests:         make(map[string]int64, len(s.reqCounts)),
-		ReplayHits:       s.replayHits.Load(),
-		Batches:          s.batches.Load(),
-		BatchItems:       s.batchItemCount.Load(),
-		BatchItemReplays: s.batchItemReplays.Load(),
-		InjectedFaults:   s.InjectedFaults(),
+		Requests:       make(map[string]int64, len(s.reqCounts)),
+		ReplayHits:     s.replayHits.Load(),
+		Batches:        s.batches.Load(),
+		BatchItems:     s.batchItemCount.Load(),
+		InjectedFaults: s.InjectedFaults(),
 	}
 	for path, n := range s.reqCounts {
 		st.Requests[path] = n.Load()
@@ -206,9 +154,7 @@ func (s *Server) Stats() ServerStats {
 	s.mu.RLock()
 	st.RegisteredObjects = len(s.objects)
 	s.mu.RUnlock()
-	s.idemMu.Lock()
-	st.IdemRecords = len(s.idem)
-	s.idemMu.Unlock()
+	st.IdemRecords = s.idem.Stats().Retained
 	return st
 }
 

@@ -96,43 +96,6 @@ func TestBatchEndpointHeterogeneous(t *testing.T) {
 	}
 }
 
-// TestBatchSubKeyReplay pins item-granular idempotency: a batch retried
-// under the same key replays the items that already executed (even when
-// other slots change) instead of re-asking the crowd.
-func TestBatchSubKeyReplay(t *testing.T) {
-	_, srv, ts := newPair(t, 32)
-	sim := srvPlatform(srv)
-	obj := sim.Universe().NewObjects(testRand(), 1)[0]
-	srv.RegisterObject(obj)
-
-	first := postBatch(t, ts.URL, "sub-1", []batchItem{
-		{Kind: "value", ObjectID: obj.ID, Attribute: "Calories", N: 2},
-		{Kind: "bogus"}, // fails, so its slot is not recorded
-	})
-	if first.Items[0].Error != "" || first.Items[1].Error == "" {
-		t.Fatalf("first pass: %+v", first.Items)
-	}
-	// Simulate a retry racing the first attempt's whole-response record
-	// (the client timed out mid-execution and re-sent): the outer record
-	// is not there yet, but the per-item sub-keys already are.
-	srv.idemMu.Lock()
-	delete(srv.idem, "sub-1")
-	srv.idemMu.Unlock()
-	retry := postBatch(t, ts.URL, "sub-1", []batchItem{
-		{Kind: "value", ObjectID: obj.ID, Attribute: "Calories", N: 2},
-		{Kind: "meta", Attribute: "Calories"}, // the failed slot re-executes as a new item
-	})
-	if !reflect.DeepEqual(retry.Items[0].Answers, first.Items[0].Answers) {
-		t.Fatalf("replayed answers %v, original %v", retry.Items[0].Answers, first.Items[0].Answers)
-	}
-	if retry.Items[1].Meta == nil {
-		t.Fatalf("second slot did not execute: %+v", retry.Items[1])
-	}
-	if got := srv.Stats().BatchItemReplays; got != 1 {
-		t.Fatalf("BatchItemReplays = %d, want 1", got)
-	}
-}
-
 // TestValueBatchSingleRoundTrip is the client-side contract: one
 // ValueBatch call answers the whole question set in one /v1/batch
 // request, bit-equal to the single-question path, charged exactly once,

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/crowd"
 	"repro/internal/domain"
+	"repro/internal/flight"
 )
 
 // Options configures the client's fault-tolerant transport.
@@ -111,9 +112,11 @@ type TransportStats struct {
 // The transport retries transient failures (connection errors, timeouts,
 // 5xx, 429) with exponential backoff and jitter under a per-request retry
 // budget. Every POST carries a client-unique idempotency key that stays
-// constant across retries: the server executes each key at most once and
-// replays the recorded response, so a retry can never advance a
-// dismantling/verification stream twice or double-answer a question.
+// constant across retries: the server executes each key at most once while
+// it retains it (a retry arriving mid-execution waits for the first
+// response), so a retry cannot advance a dismantling/verification stream
+// twice or double-answer a question. A retry after the server evicted
+// the key (see the package doc) is the one case that executes again.
 type Client struct {
 	base string
 	http *http.Client
@@ -131,12 +134,13 @@ type Client struct {
 
 	ledger atomic.Pointer[crowd.Ledger]
 
-	// mu guards the answer/example caches and their key-lock tables.
-	mu           sync.Mutex
-	values       map[valueKey][]float64
-	examples     map[string][]crowd.Example
-	valueLocks   map[valueKey]*sync.Mutex
-	exampleLocks map[string]*sync.Mutex
+	// mu guards the answer/example caches; valueKeys and exampleKeys hold
+	// their per-key locks (see lockKey).
+	mu          sync.Mutex
+	values      map[valueKey][]float64
+	examples    map[string][]crowd.Example
+	valueKeys   *flight.Group[valueKey, struct{}]
+	exampleKeys *flight.Group[string, struct{}]
 
 	// metaMu guards the read-mostly metadata caches; lookups take only a
 	// read lock so concurrent value questions never serialize on them.
@@ -181,16 +185,16 @@ func NewClientWithOptions(baseURL string, httpClient *http.Client, opts Options)
 		httpClient = http.DefaultClient
 	}
 	c := &Client{
-		base:         strings.TrimRight(baseURL, "/"),
-		http:         httpClient,
-		opts:         opts.withDefaults(),
-		idemBase:     newIdemBase(),
-		values:       make(map[valueKey][]float64),
-		examples:     make(map[string][]crowd.Example),
-		valueLocks:   make(map[valueKey]*sync.Mutex),
-		exampleLocks: make(map[string]*sync.Mutex),
-		meta:         make(map[string]metaResponse),
-		canon:        make(map[string]string),
+		base:        strings.TrimRight(baseURL, "/"),
+		http:        httpClient,
+		opts:        opts.withDefaults(),
+		idemBase:    newIdemBase(),
+		values:      make(map[valueKey][]float64),
+		examples:    make(map[string][]crowd.Example),
+		valueKeys:   flight.New[valueKey, struct{}](0, 0, nil),
+		exampleKeys: flight.New[string, struct{}](0, 0, nil),
+		meta:        make(map[string]metaResponse),
+		canon:       make(map[string]string),
 	}
 	c.ledger.Store(crowd.NewLedger(0))
 	return c
@@ -394,31 +398,16 @@ func (c *Client) canonicalName(name string) (string, error) {
 	return resp.Canonical, nil
 }
 
-// lockValueKey serializes callers of one value-question key; the lock
-// entry lives exactly as long as the cache entry it guards.
-func (c *Client) lockValueKey(k valueKey) func() {
-	c.mu.Lock()
-	lk := c.valueLocks[k]
-	if lk == nil {
-		lk = new(sync.Mutex)
-		c.valueLocks[k] = lk
+// lockKey claims k in a group retaining nothing, waiting out its holder,
+// and returns the release; a caller that waited re-checks the cache.
+func lockKey[K comparable](g *flight.Group[K, struct{}], k K) func() {
+	for {
+		c, st := g.Acquire(k, nil)
+		if st == flight.Claimed {
+			return func() { g.Settle(c, struct{}{}) }
+		}
+		_, _ = c.Wait(context.TODO()) // crowd.Platform calls carry no ctx
 	}
-	c.mu.Unlock()
-	lk.Lock()
-	return lk.Unlock
-}
-
-// lockExampleKey serializes callers of one example stream.
-func (c *Client) lockExampleKey(k string) func() {
-	c.mu.Lock()
-	lk := c.exampleLocks[k]
-	if lk == nil {
-		lk = new(sync.Mutex)
-		c.exampleLocks[k] = lk
-	}
-	c.mu.Unlock()
-	lk.Lock()
-	return lk.Unlock
 }
 
 // Value implements crowd.Platform: local cache first, then charge the
@@ -439,7 +428,7 @@ func (c *Client) Value(o *domain.Object, attr string, n int) ([]float64, error) 
 	}
 	key := valueKey{objID: o.ID, attr: canon}
 
-	unlock := c.lockValueKey(key)
+	unlock := lockKey(c.valueKeys, key)
 	defer unlock()
 
 	c.mu.Lock()
@@ -488,23 +477,29 @@ func (c *Client) Value(o *domain.Object, attr string, n int) ([]float64, error) 
 	return out, nil
 }
 
-// fetchValues POSTs the value question, re-asking with a fresh
-// idempotency key when the server returns a short batch (a fresh key is
-// required: replaying the old one would return the same short body; and
-// re-execution is safe because value answers are cached server-side).
+// fetchValues POSTs the value question until the answer batch is full.
 func (c *Client) fetchValues(objID int, canon string, n int) (valueResponse, error) {
+	return postFull(c, PathValue, &valueRequest{ObjectID: objID, Attribute: canon, N: n}, n,
+		func(r *valueResponse) int { return len(r.Answers) })
+}
+
+// postFull POSTs req until its response holds n results, as size counts
+// them. A short response is re-asked under a fresh idempotency key (the
+// old key would replay the same short body); re-executing is safe because
+// the server memoizes value answers and example streams.
+func postFull[R any](c *Client, path string, req wireRequest, n int, size func(*R) int) (R, error) {
 	for attempt := 0; ; attempt++ {
-		var resp valueResponse
-		if err := c.post(PathValue, &valueRequest{ObjectID: objID, Attribute: canon, N: n}, &resp); err != nil {
-			return valueResponse{}, err
+		var resp R
+		if err := c.post(path, req, &resp); err != nil {
+			return resp, err
 		}
-		if len(resp.Answers) >= n {
+		got := size(&resp)
+		if got >= n {
 			return resp, nil
 		}
 		c.shortResponses.Add(1)
 		if attempt >= c.opts.MaxRetries {
-			return valueResponse{}, fmt.Errorf("crowdhttp: server returned %d answers, want %d (after %d attempts)",
-				len(resp.Answers), n, attempt+1)
+			return resp, fmt.Errorf("crowdhttp: server returned %d of %d results (after %d attempts)", got, n, attempt+1)
 		}
 		c.retries.Add(1)
 	}
@@ -571,7 +566,7 @@ func (c *Client) Examples(targets []string, n int) ([]crowd.Example, error) {
 	sort.Strings(sorted)
 	streamKey := strings.Join(sorted, "\x00")
 
-	unlock := c.lockExampleKey(streamKey)
+	unlock := lockKey(c.exampleKeys, streamKey)
 	defer unlock()
 
 	c.mu.Lock()
@@ -586,7 +581,8 @@ func (c *Client) Examples(targets []string, n int) ([]crowd.Example, error) {
 		if err != nil {
 			return nil, err
 		}
-		resp, err := c.fetchExamples(canon, n)
+		resp, err := postFull(c, PathExamples, &examplesRequest{Targets: canon, N: n}, n,
+			func(r *examplesResponse) int { return len(r.Examples) })
 		if err != nil {
 			res.Release()
 			return nil, err
@@ -606,26 +602,6 @@ func (c *Client) Examples(targets []string, n int) ([]crowd.Example, error) {
 	out := make([]crowd.Example, n)
 	copy(out, c.examples[streamKey][:n])
 	return out, nil
-}
-
-// fetchExamples POSTs the example question, re-asking short batches with
-// a fresh idempotency key (safe: example streams are cached server-side).
-func (c *Client) fetchExamples(canon []string, n int) (examplesResponse, error) {
-	for attempt := 0; ; attempt++ {
-		var resp examplesResponse
-		if err := c.post(PathExamples, &examplesRequest{Targets: canon, N: n}, &resp); err != nil {
-			return examplesResponse{}, err
-		}
-		if len(resp.Examples) >= n {
-			return resp, nil
-		}
-		c.shortResponses.Add(1)
-		if attempt >= c.opts.MaxRetries {
-			return examplesResponse{}, fmt.Errorf("crowdhttp: server returned %d examples, want %d (after %d attempts)",
-				len(resp.Examples), n, attempt+1)
-		}
-		c.retries.Add(1)
-	}
 }
 
 // Canonical implements crowd.Platform. The interface offers no error

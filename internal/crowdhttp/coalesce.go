@@ -208,7 +208,7 @@ func (c *Client) ValueBatchMulti(qs []crowd.ObjectValueQuestion) ([][]float64, e
 		}
 	}()
 	for _, k := range keys {
-		unlocks = append(unlocks, c.lockValueKey(k))
+		unlocks = append(unlocks, lockKey(c.valueKeys, k))
 	}
 
 	c.mu.Lock()

@@ -8,9 +8,13 @@
 //   - The server executes questions against its wrapped platform and owns
 //     the objects (a client can only ask value questions about objects the
 //     server has handed out through example questions). It deduplicates
-//     retried POSTs by their idempotency key, replaying the recorded
-//     response instead of re-executing, so a retry can never advance a
-//     dismantling/verification stream twice.
+//     retried POSTs by their idempotency key: a key executes at most once
+//     while the server retains it, a retry arriving while the first
+//     request still executes waits for that execution and replays its
+//     response, and a later retry replays the recorded response. So a
+//     retry cannot advance a dismantling/verification stream twice. The
+//     limit: a successful response is retained for 5 minutes and among
+//     the latest 65,536 keys; a retry of an evicted key executes again.
 //   - The client owns budgeting: it knows the pricing, keeps a local
 //     answer cache mirroring its own asks, charges its ledger *before*
 //     each request, and therefore enforces B_prc/B_obj without trusting
@@ -48,6 +52,7 @@ import (
 
 	"repro/internal/crowd"
 	"repro/internal/domain"
+	"repro/internal/flight"
 )
 
 // API endpoints (all POST except the GET /v1/pricing and /v1/stats).
@@ -209,17 +214,22 @@ func (f *faultInjector) next() faultDecision {
 	return d
 }
 
-// idemRecord is one recorded response body, ready for replay.
-type idemRecord struct {
-	status int
-	body   []byte
-}
+// The idempotency table's bounds: idemRetention outlives the default
+// client's worst-case retry horizon (4 attempts × 30 s plus backoff, about
+// 2 min); idemMaxRecords caps its memory whatever the request rate.
+const (
+	idemRetention  = 5 * time.Minute
+	idemMaxRecords = 1 << 16
+)
 
 // Server adapts a crowd.Platform to the HTTP API. It neutralizes the
 // wrapped platform's budget enforcement (clients budget themselves),
 // keeps a registry of the objects it has handed out so value questions
-// can reference them by id, and records each idempotency key's response
-// so retried POSTs replay instead of re-executing. The registry is
+// can reference them by id, and executes each idempotency key at most
+// once while it retains the key: a retry arriving mid-execution waits for
+// the first response, a later one replays it, and only a retry after the
+// key's eviction executes again. A non-200 response is never replayed.
+// The registry is
 // read-mostly (every value question looks an object up; only example
 // questions and RegisterObject write), so it sits behind an RWMutex and
 // concurrent value questions never serialize on it.
@@ -230,17 +240,15 @@ type Server struct {
 	mu      sync.RWMutex
 	objects map[int]*domain.Object
 
-	idemMu sync.Mutex
-	idem   map[string]idemRecord
+	idem *flight.Group[string, []byte] // each key's execution, then its 200 body
 
 	// Observability counters, served at /v1/stats. reqCounts is keyed by
 	// endpoint path and fully populated at construction, so handlers only
 	// ever touch atomics.
-	reqCounts        map[string]*atomic.Int64
-	replayHits       atomic.Int64
-	batches          atomic.Int64
-	batchItemCount   atomic.Int64
-	batchItemReplays atomic.Int64
+	reqCounts      map[string]*atomic.Int64
+	replayHits     atomic.Int64
+	batches        atomic.Int64
+	batchItemCount atomic.Int64
 }
 
 // NewServer wraps a platform. The platform's ledger is replaced with an
@@ -250,7 +258,7 @@ func NewServer(p crowd.Platform) *Server {
 	s := &Server{
 		platform:  p,
 		objects:   make(map[int]*domain.Object),
-		idem:      make(map[string]idemRecord),
+		idem:      flight.New[string, []byte](idemMaxRecords, idemRetention, time.Now),
 		reqCounts: make(map[string]*atomic.Int64, len(servedPaths)),
 	}
 	for _, path := range servedPaths {
@@ -284,7 +292,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc(PathCanonical, s.wrap(PathCanonical, s.handleCanonical))
 	mux.HandleFunc(PathMeta, s.wrap(PathMeta, s.handleMeta))
 	mux.HandleFunc(PathBatch, s.wrap(PathBatch, s.handleBatch))
-	mux.HandleFunc(PathPricing, s.wrapPricing(s.handlePricing))
+	mux.HandleFunc(PathPricing, s.wrap(PathPricing, s.handlePricing))
 	mux.HandleFunc(PathStats, s.handleStats)
 	return mux
 }
@@ -318,10 +326,12 @@ func (r *responseRecorder) copyTo(w http.ResponseWriter) {
 	_, _ = w.Write(r.body.Bytes())
 }
 
-// wrap applies fault injection and idempotent replay around one POST
-// handler: a known key replays the recorded response without touching the
-// platform; a fresh key executes once, records a successful response,
-// and only then (possibly) loses it to an injected drop.
+// wrap applies fault injection and idempotent replay around one handler.
+// A request without a key (the pricing GET) executes every time. A fresh
+// key executes once and records a successful response before (possibly)
+// losing it to an injected drop; a key in flight waits, while its own
+// request lives, and replays the response — or executes afresh if that
+// execution failed; a recorded key replays at once.
 func (s *Server) wrap(path string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.reqCounts[path].Add(1)
@@ -338,25 +348,33 @@ func (s *Server) wrap(path string, h http.HandlerFunc) http.HandlerFunc {
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		var key idemKey
 		_ = json.Unmarshal(body, &key)
-		if key.IdempotencyKey != "" {
-			s.idemMu.Lock()
-			rec, ok := s.idem[key.IdempotencyKey]
-			s.idemMu.Unlock()
-			if ok {
+		var call *flight.Call[string, []byte]
+		for key.IdempotencyKey != "" {
+			c, st := s.idem.Acquire(key.IdempotencyKey, nil)
+			if st == flight.Claimed {
+				call = c
+				break
+			}
+			replay, err := c.Wait(r.Context())
+			if err == nil {
 				s.replayHits.Add(1)
-				writeJSONBytes(w, rec.status, rec.body)
+				w.Header().Set("Content-Type", "application/json")
+				_, _ = w.Write(replay)
+				return
+			}
+			if r.Context().Err() != nil {
+				writeError(w, http.StatusServiceUnavailable, err)
 				return
 			}
 		}
 		rec := newRecorder()
 		h(rec, r)
-		if key.IdempotencyKey != "" && rec.status == http.StatusOK {
-			s.idemMu.Lock()
-			s.idem[key.IdempotencyKey] = idemRecord{
-				status: rec.status,
-				body:   append([]byte(nil), rec.body.Bytes()...),
+		if call != nil {
+			if rec.status == http.StatusOK {
+				s.idem.Settle(call, append([]byte(nil), rec.body.Bytes()...))
+			} else {
+				s.idem.Fail(call, fmt.Errorf("crowdhttp: status %d is not replayed", rec.status))
 			}
-			s.idemMu.Unlock()
 		}
 		if d.drop && rec.status == http.StatusOK {
 			writeError(w, http.StatusServiceUnavailable, fmt.Errorf("%w: response dropped", errInjectedFault))
@@ -366,29 +384,10 @@ func (s *Server) wrap(path string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// wrapPricing applies fault injection only (GET has no body, hence no
-// idempotency key; pricing is naturally idempotent).
-func (s *Server) wrapPricing(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.reqCounts[PathPricing].Add(1)
-		if d := s.faults.next(); d.fail || d.drop {
-			writeError(w, http.StatusServiceUnavailable, errInjectedFault)
-			return
-		}
-		h(w, r)
-	}
-}
-
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -478,14 +477,20 @@ func (s *Server) handleExamples(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	out := examplesResponse{Examples: make([]exampleWire, len(examples))}
+	writeJSON(w, http.StatusOK, examplesResponse{Examples: s.register(examples)})
+}
+
+// register makes example objects addressable by id and returns their
+// wire form.
+func (s *Server) register(examples []crowd.Example) []exampleWire {
+	out := make([]exampleWire, len(examples))
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for i, ex := range examples {
 		s.objects[ex.Object.ID] = ex.Object
-		out.Examples[i] = exampleWire{ObjectID: ex.Object.ID, Values: ex.Values}
+		out[i] = exampleWire{ObjectID: ex.Object.ID, Values: ex.Values}
 	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
+	return out
 }
 
 func (s *Server) handleCanonical(w http.ResponseWriter, r *http.Request) {

@@ -44,17 +44,17 @@ func TestParseOrderLimitErrorMessages(t *testing.T) {
 		stmt string
 		want string
 	}{
-		{"SELECT a ORDER BY", "dangling ORDER BY"},              // missing attribute
-		{"SELECT a ORDER BY DESC", "dangling ORDER BY"},         // direction but no attribute
-		{"SELECT a ORDER", "expected BY after ORDER"},           // bare ORDER
-		{"SELECT a ORDER b", "expected BY after ORDER"},         // ORDER without BY
-		{"SELECT a LIMIT 3", "LIMIT without ORDER BY"},          // limit alone
+		{"SELECT a ORDER BY", "dangling ORDER BY"},      // missing attribute
+		{"SELECT a ORDER BY DESC", "dangling ORDER BY"}, // direction but no attribute
+		{"SELECT a ORDER", "expected BY after ORDER"},   // bare ORDER
+		{"SELECT a ORDER b", "expected BY after ORDER"}, // ORDER without BY
+		{"SELECT a LIMIT 3", "LIMIT without ORDER BY"},  // limit alone
 		{"SELECT a WHERE b > 1 LIMIT 3", "LIMIT without ORDER BY"},
-		{"SELECT a ORDER BY b LIMIT", "LIMIT missing count"},    // no count
-		{"SELECT a ORDER BY b LIMIT x", `bad LIMIT "x"`},        // non-integer count
-		{"SELECT a ORDER BY b LIMIT 2.5", `bad LIMIT "2.5"`},    // fractional count
-		{"SELECT a ORDER BY b LIMIT -1", "must be positive"},    // negative count
-		{"SELECT a ORDER BY b LIMIT 0", "must be positive"},     // zero count
+		{"SELECT a ORDER BY b LIMIT", "LIMIT missing count"}, // no count
+		{"SELECT a ORDER BY b LIMIT x", `bad LIMIT "x"`},     // non-integer count
+		{"SELECT a ORDER BY b LIMIT 2.5", `bad LIMIT "2.5"`}, // fractional count
+		{"SELECT a ORDER BY b LIMIT -1", "must be positive"}, // negative count
+		{"SELECT a ORDER BY b LIMIT 0", "must be positive"},  // zero count
 		{"SELECT a ORDER BY b ASC UP", `unknown direction or trailing "UP"`},
 		{"SELECT a ORDER BY b DESC DESC", "unknown direction or trailing"},
 		{"SELECT a ORDER BY b LIMIT 3 extra", `unexpected "extra"`}, // junk after trailer
@@ -124,17 +124,17 @@ func TestApproxEqualSymmetric(t *testing.T) {
 		a, b float64
 		want bool
 	}{
-		{100, 103, true},    // 3 <= 5.15
-		{100, 110, false},   // 10 > 5.5
-		{0, 0.01, true},     // absolute floor near zero
-		{0, 0.06, false},    // beyond the floor band
-		{-100, -103, true},  // negative scale uses magnitude
+		{100, 103, true},   // 3 <= 5.15
+		{100, 110, false},  // 10 > 5.5
+		{0, 0.01, true},    // absolute floor near zero
+		{0, 0.06, false},   // beyond the floor band
+		{-100, -103, true}, // negative scale uses magnitude
 		{-100, -110, false},
-		{-100, 100, false},  // opposite signs, huge diff
-		{0.5, 0.52, true},   // sub-unit: floor keeps a 0.05 band
+		{-100, 100, false}, // opposite signs, huge diff
+		{0.5, 0.52, true},  // sub-unit: floor keeps a 0.05 band
 		{0.5, 0.56, false},
-		{1000, 1040, true},  // 40 <= 52
-		{1040, 1000, true},  // ...and symmetric
+		{1000, 1040, true}, // 40 <= 52
+		{1040, 1000, true}, // ...and symmetric
 	}
 	for _, tc := range cases {
 		if got := approxEqual(tc.a, tc.b); got != tc.want {

@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"container/list"
-	"sync"
+	"context"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/query"
 )
 
@@ -22,26 +22,17 @@ import (
 // (reuse.go documents the contract). The cache therefore changes spend,
 // never output bits.
 //
-// Eviction is LRU over ready entries, bounded by cap; in-flight fills
-// are never evictable (their fillers hold the only reference waiters
-// block on). An optional TTL bounds staleness: entries older than ttl
-// are dropped at lookup time and refilled by the next asker. Failed
-// fills are deleted so retries refill; their waiters degrade to a direct
-// uncached purchase.
+// Entries live in a flight.Group bounded by cap (LRU over filled
+// entries) and an optional TTL that bounds staleness. A failed fill is
+// not cached; its waiters degrade to a direct uncached purchase.
 type answerCache struct {
-	mu      sync.Mutex
-	cap     int
-	ttl     time.Duration // 0 = entries never expire
-	now     func() time.Time
-	entries map[answerKey]*answerEntry
-	order   *list.List // front = most recently used; ready entries only
+	g   *flight.Group[answerKey, float64]
+	cap int
 
-	hits        atomic.Int64
-	misses      atomic.Int64
-	waits       atomic.Int64 // resolves coalesced onto an in-flight fill
-	published   atomic.Int64 // means offered by lazy sessions' Publish
-	evictions   atomic.Int64
-	expirations atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	waits     atomic.Int64 // resolves coalesced onto an in-flight fill
+	published atomic.Int64 // means offered by lazy sessions' Publish
 }
 
 // answerKey identifies one cached mean. The answer count n is part of
@@ -54,42 +45,25 @@ type answerKey struct {
 	n      int
 }
 
-// answerEntry is one mean, possibly still being bought. ready is closed
-// when mean/failed are final; elem links the entry into the LRU order
-// once it is ready. Entries are immutable after ready closes, so readers
-// holding a pointer across an eviction stay safe.
-type answerEntry struct {
-	key    answerKey
-	ready  chan struct{}
-	mean   float64
-	failed bool
-	filled time.Time
-	elem   *list.Element
-}
-
 func newAnswerCache(capacity int, ttl time.Duration, now func() time.Time) *answerCache {
-	return &answerCache{
-		cap:     capacity,
-		ttl:     ttl,
-		now:     now,
-		entries: make(map[answerKey]*answerEntry),
-		order:   list.New(),
-	}
+	return &answerCache{g: flight.New[answerKey, float64](capacity, ttl, now), cap: capacity}
 }
 
 // memoFor adapts the cache to the query engine's AnswerMemo interface,
-// scoped to one domain.
-func (c *answerCache) memoFor(domain string) query.AnswerMemo {
-	return domainMemo{c: c, domain: domain}
+// scoped to one domain and to the session's ctx, which bounds its waits
+// on other sessions' fills.
+func (c *answerCache) memoFor(ctx context.Context, domain string) query.AnswerMemo {
+	return domainMemo{ctx: ctx, c: c, domain: domain}
 }
 
 type domainMemo struct {
+	ctx    context.Context
 	c      *answerCache
 	domain string
 }
 
 func (m domainMemo) Resolve(qs []query.ReuseQuestion, pay func(miss []int) ([]float64, error)) ([]float64, []bool, error) {
-	return m.c.resolve(m.domain, qs, pay)
+	return m.c.resolve(m.ctx, m.domain, qs, pay)
 }
 
 func (m domainMemo) Peek(q query.ReuseQuestion) (float64, bool) {
@@ -100,102 +74,77 @@ func (m domainMemo) Publish(q query.ReuseQuestion, mean float64) {
 	m.c.publish(m.domain, q, mean)
 }
 
-// lookupLocked finds key's live entry, enforcing the TTL: a ready entry
-// older than ttl is removed and reported absent so the caller refills.
-// c.mu must be held.
-func (c *answerCache) lookupLocked(k answerKey) (*answerEntry, bool) {
-	e, ok := c.entries[k]
-	if !ok {
-		return nil, false
-	}
-	if c.ttl > 0 && e.elem != nil && c.now().Sub(e.filled) > c.ttl {
-		c.order.Remove(e.elem)
-		delete(c.entries, k)
-		c.expirations.Add(1)
-		return nil, false
-	}
-	return e, true
-}
-
-// settleLocked finalizes a filled entry into the LRU order, evicting
-// beyond capacity. c.mu must be held; the caller closes ready after
-// releasing the lock.
-func (c *answerCache) settleLocked(e *answerEntry, mean float64) {
-	e.mean = mean
-	e.filled = c.now()
-	e.elem = c.order.PushFront(e)
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		victim := oldest.Value.(*answerEntry)
-		c.order.Remove(oldest)
-		delete(c.entries, victim.key)
-		c.evictions.Add(1)
-	}
+func keyOf(domain string, q query.ReuseQuestion) answerKey {
+	return answerKey{domain: domain, attr: q.Attr, object: q.ObjectID, n: q.N}
 }
 
 // resolve is the single-flight batch lookup behind AnswerMemo.Resolve.
 // It runs in three phases to stay deadlock-free across sessions that
 // claim overlapping question sets in different orders: (1) classify
-// every question under one lock pass into hit / claim (this session
-// fills) / join (wait on another session's in-flight fill); (2) pay for
-// and settle ALL own claims — closing their ready channels — before (3)
-// waiting on any join. Because every session publishes its claims before
-// it blocks, the cross-session wait graph is acyclic. Joins whose filler
-// failed degrade to a direct uncached purchase.
-func (c *answerCache) resolve(domain string, qs []query.ReuseQuestion, pay func(miss []int) ([]float64, error)) ([]float64, []bool, error) {
+// every question in one lock pass into hit / claim (this session fills)
+// / join (wait on another session's in-flight fill); (2) pay for and
+// settle ALL own claims before (3) waiting on any join. Because every
+// session ends its claims before it blocks, the cross-session wait graph
+// is acyclic. Joins whose filler failed degrade to a direct uncached
+// purchase; a join whose wait outlives ctx fails the resolve.
+func (c *answerCache) resolve(ctx context.Context, domain string, qs []query.ReuseQuestion, pay func(miss []int) ([]float64, error)) ([]float64, []bool, error) {
+	keys := make([]answerKey, len(qs))
+	for i, q := range qs {
+		keys[i] = keyOf(domain, q)
+	}
+	calls, states := c.g.AcquireAll(keys)
 	means := make([]float64, len(qs))
 	reused := make([]bool, len(qs))
-	var claims []int
-	claimed := make(map[answerKey]int)
-	var joins []int
-	joinEntries := make(map[int]*answerEntry)
-
-	c.mu.Lock()
-	for i, q := range qs {
-		k := answerKey{domain: domain, attr: q.Attr, object: q.ObjectID, n: q.N}
-		if _, dup := claimed[k]; dup {
-			// Duplicate key within one call: alias the first claim.
-			claims = append(claims, i)
-			continue
-		}
-		if e, ok := c.lookupLocked(k); ok {
-			select {
-			case <-e.ready:
-				// Ready entries in the map are always successful fills
-				// (failed ones are deleted before ready closes).
-				means[i] = e.mean
-				reused[i] = true
-				c.hits.Add(1)
-				c.order.MoveToFront(e.elem)
-			default:
+	first := make(map[*flight.Call[answerKey, float64]]int) // own call → its first question
+	var miss, joins []int
+	for i, s := range states {
+		switch _, dup := first[calls[i]]; {
+		case s != flight.Claimed:
+			if s == flight.Joined {
 				c.waits.Add(1)
-				joins = append(joins, i)
-				joinEntries[i] = e
 			}
-			continue
+			joins = append(joins, i)
+		case !dup:
+			first[calls[i]] = i
+			miss = append(miss, i)
 		}
-		e := &answerEntry{key: k, ready: make(chan struct{})}
-		c.entries[k] = e
-		c.misses.Add(1)
-		claims = append(claims, i)
-		claimed[k] = i
 	}
-	c.mu.Unlock()
 
-	if err := c.fill(domain, qs, claims, means, pay); err != nil {
-		return nil, nil, err
+	// Pay once per own call, in claim order, and settle it; on error every
+	// own call fails, so its joiners buy directly. Repeats alias their first.
+	if len(miss) > 0 {
+		c.misses.Add(int64(len(miss)))
+		paid, err := pay(miss)
+		for k, i := range miss {
+			if err != nil {
+				c.g.Fail(calls[i], err)
+			} else {
+				c.g.Settle(calls[i], paid[k])
+				means[i] = paid[k]
+			}
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		for i, s := range states {
+			if s == flight.Claimed {
+				means[i] = means[first[calls[i]]]
+			}
+		}
 	}
 
 	// Own claims are settled; joining other sessions' fills cannot cycle.
 	var retry []int
 	for _, i := range joins {
-		e := joinEntries[i]
-		<-e.ready
-		if e.failed {
+		mean, err := calls[i].Wait(ctx)
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, nil, ctx.Err()
+			}
 			retry = append(retry, i)
 			continue
 		}
-		means[i] = e.mean
+		means[i] = mean
 		reused[i] = true
 		c.hits.Add(1)
 	}
@@ -213,71 +162,17 @@ func (c *answerCache) resolve(domain string, qs []query.ReuseQuestion, pay func(
 	return means, reused, nil
 }
 
-// fill pays for the claimed questions and settles their entries. On
-// error every claimed entry is deleted (waiters see failed and retry
-// directly). Duplicate claims of one key are paid once and aliased.
-func (c *answerCache) fill(domain string, qs []query.ReuseQuestion, claims []int, means []float64, pay func(miss []int) ([]float64, error)) error {
-	if len(claims) == 0 {
-		return nil
-	}
-	// Pay each distinct key once, in claim order.
-	var miss []int
-	seen := make(map[answerKey]int, len(claims))
-	for _, i := range claims {
-		k := answerKey{domain: domain, attr: qs[i].Attr, object: qs[i].ObjectID, n: qs[i].N}
-		if _, dup := seen[k]; !dup {
-			seen[k] = i
-			miss = append(miss, i)
-		}
-	}
-	paid, err := pay(miss)
-
-	c.mu.Lock()
-	var settled []*answerEntry
-	for k, i := range miss {
-		key := answerKey{domain: domain, attr: qs[i].Attr, object: qs[i].ObjectID, n: qs[i].N}
-		e := c.entries[key]
-		if err != nil {
-			e.failed = true
-			delete(c.entries, key)
-		} else {
-			means[i] = paid[k]
-			c.settleLocked(e, paid[k])
-		}
-		settled = append(settled, e)
-	}
-	c.mu.Unlock()
-	for _, e := range settled {
-		close(e.ready)
-	}
-	if err != nil {
-		return err
-	}
-	// Alias duplicate claims onto their paid twin.
-	for _, i := range claims {
-		k := answerKey{domain: domain, attr: qs[i].Attr, object: qs[i].ObjectID, n: qs[i].N}
-		if first := seen[k]; first != i {
-			means[i] = means[first]
-		}
-	}
-	return nil
-}
-
 // peek is the non-blocking probe behind AnswerMemo.Peek: ready hits
 // bump recency and count as hits; in-flight fills and absent keys report
 // a miss without blocking or claiming.
 func (c *answerCache) peek(domain string, q query.ReuseQuestion) (float64, bool) {
-	k := answerKey{domain: domain, attr: q.Attr, object: q.ObjectID, n: q.N}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.lookupLocked(k)
-	if !ok || e.elem == nil {
+	mean, ok := c.g.Peek(keyOf(domain, q), true)
+	if ok {
+		c.hits.Add(1)
+	} else {
 		c.misses.Add(1)
-		return 0, false
 	}
-	c.hits.Add(1)
-	c.order.MoveToFront(e.elem)
-	return e.mean, true
+	return mean, ok
 }
 
 // publish offers a mean the caller already paid for (a lazy session
@@ -285,18 +180,9 @@ func (c *answerCache) peek(domain string, q query.ReuseQuestion) (float64, bool)
 // are never clobbered — first writer wins, so concurrent publishers and
 // fillers agree (they computed the same deterministic mean anyway).
 func (c *answerCache) publish(domain string, q query.ReuseQuestion, mean float64) {
-	k := answerKey{domain: domain, attr: q.Attr, object: q.ObjectID, n: q.N}
-	c.mu.Lock()
-	if _, ok := c.lookupLocked(k); ok {
-		c.mu.Unlock()
-		return
+	if c.g.Add(keyOf(domain, q), mean) {
+		c.published.Add(1)
 	}
-	e := &answerEntry{key: k, ready: make(chan struct{})}
-	close(e.ready)
-	c.entries[k] = e
-	c.settleLocked(e, mean)
-	c.published.Add(1)
-	c.mu.Unlock()
 }
 
 // AnswerCacheStats is the answer cache's observability snapshot.
@@ -312,17 +198,15 @@ type AnswerCacheStats struct {
 }
 
 func (c *answerCache) stats() AnswerCacheStats {
-	c.mu.Lock()
-	size := c.order.Len()
-	c.mu.Unlock()
+	g := c.g.Stats()
 	return AnswerCacheStats{
-		Size:          size,
+		Size:          g.Retained,
 		Capacity:      c.cap,
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		InflightWaits: c.waits.Load(),
 		Published:     c.published.Load(),
-		Evictions:     c.evictions.Load(),
-		Expirations:   c.expirations.Load(),
+		Evictions:     g.Evictions,
+		Expirations:   g.Expirations,
 	}
 }

@@ -25,7 +25,7 @@ func acMean(id int) float64 { return float64(id)*10 + 0.5 }
 // pay, failing the test on error.
 func acFill(t *testing.T, c *answerCache, id int) float64 {
 	t.Helper()
-	means, _, err := c.resolve("d", []query.ReuseQuestion{acQuestion(id)}, func(miss []int) ([]float64, error) {
+	means, _, err := c.resolve(context.Background(), "d", []query.ReuseQuestion{acQuestion(id)}, func(miss []int) ([]float64, error) {
 		return []float64{acMean(id)}, nil
 	})
 	if err != nil {
@@ -50,7 +50,7 @@ func TestAnswerCacheSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			means, _, err := c.resolve("d", qs, func(miss []int) ([]float64, error) {
+			means, _, err := c.resolve(context.Background(), "d", qs, func(miss []int) ([]float64, error) {
 				payCalls.Add(1)
 				time.Sleep(time.Millisecond) // widen the join window
 				out := make([]float64, len(miss))
@@ -153,7 +153,7 @@ func TestAnswerCacheFailedFillWaiterRetries(t *testing.T) {
 	release := make(chan struct{})
 	fillerDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.resolve("d", qs, func([]int) ([]float64, error) {
+		_, _, err := c.resolve(context.Background(), "d", qs, func([]int) ([]float64, error) {
 			close(fillerIn)
 			<-release
 			return nil, errors.New("crowd down")
@@ -166,7 +166,7 @@ func TestAnswerCacheFailedFillWaiterRetries(t *testing.T) {
 	var waiterMeans []float64
 	var waiterReused []bool
 	go func() {
-		means, reused, err := c.resolve("d", qs, func(miss []int) ([]float64, error) {
+		means, reused, err := c.resolve(context.Background(), "d", qs, func(miss []int) ([]float64, error) {
 			return []float64{acMean(9)}, nil
 		})
 		waiterMeans, waiterReused = means, reused
@@ -222,7 +222,7 @@ func TestAnswerCachePublish(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, _, err := c.resolve("d", []query.ReuseQuestion{acQuestion(2)}, func([]int) ([]float64, error) {
+		if _, _, err := c.resolve(context.Background(), "d", []query.ReuseQuestion{acQuestion(2)}, func([]int) ([]float64, error) {
 			close(fillerIn)
 			<-release
 			return []float64{acMean(2)}, nil
@@ -275,7 +275,7 @@ func TestAnswerCacheHammer(t *testing.T) {
 					qs := []query.ReuseQuestion{q,
 						{ObjectID: (q.ObjectID + 1) % 12, Attr: q.Attr, N: q.N}}
 					fail := (w+i)%7 == 0
-					means, _, err := c.resolve("d", qs, func(miss []int) ([]float64, error) {
+					means, _, err := c.resolve(context.Background(), "d", qs, func(miss []int) ([]float64, error) {
 						if fail {
 							return nil, fmt.Errorf("injected fill failure")
 						}

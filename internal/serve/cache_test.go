@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -28,7 +29,7 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		results[0], _, hits[0], _ = c.getOrBuild("k", at(0), build)
+		results[0], _, hits[0], _ = c.getOrBuild(context.Background(), "k", at(0), build)
 	}()
 	<-started
 	// 15 more sessions arrive while the build is in flight: all must
@@ -40,7 +41,7 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			pick := func(affinity int) int { affinities[i] = affinity; return 1 }
-			results[i], _, hits[i], _ = c.getOrBuild("k", pick, func(int) (*core.Plan, error) {
+			results[i], _, hits[i], _ = c.getOrBuild(context.Background(), "k", pick, func(int) (*core.Plan, error) {
 				t.Error("second build ran")
 				return nil, nil
 			})
@@ -84,10 +85,10 @@ func at(idx int) func(int) int { return func(int) int { return idx } }
 func TestPlanCacheLRUEviction(t *testing.T) {
 	c := newPlanCache(2)
 	mk := func(int) (*core.Plan, error) { return &core.Plan{}, nil }
-	c.getOrBuild("a", at(0), mk)
-	c.getOrBuild("b", at(0), mk)
-	c.getOrBuild("a", at(0), mk) // bump a: b is now oldest
-	c.getOrBuild("c", at(0), mk) // evicts b
+	c.getOrBuild(context.Background(), "a", at(0), mk)
+	c.getOrBuild(context.Background(), "b", at(0), mk)
+	c.getOrBuild(context.Background(), "a", at(0), mk) // bump a: b is now oldest
+	c.getOrBuild(context.Background(), "c", at(0), mk) // evicts b
 	if _, ok := c.peek("b"); ok {
 		t.Fatal("b survived eviction")
 	}
@@ -106,14 +107,14 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 func TestPlanCacheFailedBuildNotCached(t *testing.T) {
 	c := newPlanCache(2)
 	boom := errors.New("boom")
-	if _, _, _, err := c.getOrBuild("k", at(0), func(int) (*core.Plan, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, _, err := c.getOrBuild(context.Background(), "k", at(0), func(int) (*core.Plan, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, ok := c.peek("k"); ok {
 		t.Fatal("failed build cached")
 	}
 	// The next lookup rebuilds.
-	plan, _, hit, err := c.getOrBuild("k", at(0), func(int) (*core.Plan, error) { return &core.Plan{}, nil })
+	plan, _, hit, err := c.getOrBuild(context.Background(), "k", at(0), func(int) (*core.Plan, error) { return &core.Plan{}, nil })
 	if err != nil || hit || plan == nil {
 		t.Fatalf("rebuild: plan=%v hit=%v err=%v", plan, hit, err)
 	}

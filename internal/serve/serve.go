@@ -481,7 +481,7 @@ func (t *Tier) Execute(ctx context.Context, req Request) (res *Result, err error
 	}
 	bObj, bPrc := t.budgets(req.BObj, req.BPrc)
 	key := t.planKey(st, bObj, bPrc)
-	return t.session(req, st, objs, bObj, bPrc, key, t.effectiveShards(req, len(objs)), cm, start)
+	return t.session(ctx, req, st, objs, bObj, bPrc, key, t.effectiveShards(req, len(objs)), cm, start)
 }
 
 // reuseOn reports whether a session runs against the shared answer

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"time"
@@ -37,14 +38,14 @@ type shardOutcome struct {
 // the plan's home, so with several backends the estimates are bit-equal
 // only when the backends are replicas (same simulator seed over the same
 // universe) — which is how disq-serve configures a sharded tier.
-func (t *Tier) session(req Request, st *query.Statement, objs []*domain.Object,
+func (t *Tier) session(ctx context.Context, req Request, st *query.Statement, objs []*domain.Object,
 	bObj, bPrc crowd.Cost, key string, shards int, cm *classMetrics, start time.Time) (*Result, error) {
 	// Route, then build (or fetch) the one shard-independent plan on its
 	// home backend. The build session is released before evaluation, and
 	// a session that joins another's build waits holding none: no path
 	// holds a backend session while it waits for a plan, so on a
 	// mutex-serialized backend nothing blocks the session a build needs.
-	plan, idx, hit, err := t.cache.getOrBuild(key, t.picker(key), func(idx int) (*core.Plan, error) {
+	plan, idx, hit, err := t.cache.getOrBuild(ctx, key, t.picker(key), func(idx int) (*core.Plan, error) {
 		b := t.backends[idx]
 		b.load.startBuild()
 		defer b.load.endBuild()
@@ -67,7 +68,7 @@ func (t *Tier) session(req Request, st *query.Statement, objs []*domain.Object,
 	// across sessions stop being re-purchased per replica.
 	var memo query.AnswerMemo
 	if t.reuseOn(req) {
-		memo = t.answers.memoFor(t.domain)
+		memo = t.answers.memoFor(ctx, t.domain)
 	}
 	planQs := 0
 	if qs, qerr := plan.Questions(); qerr == nil {
