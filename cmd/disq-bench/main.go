@@ -7,16 +7,13 @@
 //	disq-bench -list                 # show all experiment ids
 //	disq-bench -experiment fig1a     # regenerate one figure
 //	disq-bench -all                  # regenerate everything (slow)
-//	disq-bench -experiment fig1e -reps 10 -csv out/   # fewer reps, CSV dump
-//	disq-bench -bench -json BENCH.json                # machine-readable benchmarks
-//	disq-bench -compare old.json new.json             # diff two -bench reports
-//
-// -compare exits nonzero when any benchmark regressed by more than
-// -max-regress (default 10%); CI runs it with a loose threshold so only
-// order-of-magnitude regressions fail the build.
+//	disq-bench -experiment fig1e -reps 10 -out out/   # fewer reps, text dump
+//	disq-bench -experiment fig1a -cpuprofile cpu.out  # profile one figure
 //
 // The paper uses 30 repetitions per configuration; -reps trades fidelity
-// for speed.
+// for speed. Performance benchmarks and their gates live next to the code
+// they measure, as `go test -bench` benchmarks and plain tests; see
+// DESIGN.md §6.
 package main
 
 import (
@@ -44,11 +41,6 @@ func realMain() int {
 		evalN = flag.Int("objects", 0, "evaluation objects per repetition (0 = default of 100)")
 		seed  = flag.Int64("seed", 0, "seed offset for all platforms")
 		out   = flag.String("out", "", "directory to also write each result as <id>.txt")
-		bench = flag.Bool("bench", false, "run the benchmark suite instead of regenerating figures")
-		jsonP = flag.String("json", "", "with -bench: write the JSON report here (default stdout)")
-
-		compare    = flag.Bool("compare", false, "compare two -bench JSON reports: -compare old.json new.json")
-		maxRegress = flag.Float64("max-regress", 0.10, "with -compare: fail when ns/op regresses by more than this fraction")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -82,29 +74,6 @@ func realMain() int {
 				fmt.Fprintln(os.Stderr, "disq-bench:", err)
 			}
 		}()
-	}
-	if *compare {
-		args := flag.Args()
-		if len(args) != 2 {
-			fmt.Fprintln(os.Stderr, "disq-bench: -compare takes exactly two arguments: old.json new.json")
-			return 2
-		}
-		regressed, err := runCompare(args[0], args[1], *maxRegress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "disq-bench:", err)
-			return 1
-		}
-		if regressed {
-			return 1
-		}
-		return 0
-	}
-	if *bench {
-		if err := runBench(*jsonP, *reps, *evalN, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "disq-bench:", err)
-			return 1
-		}
-		return 0
 	}
 	if err := run(*list, *expID, *all, *reps, *evalN, *seed, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "disq-bench:", err)

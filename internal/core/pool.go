@@ -59,8 +59,8 @@ func init() { sharedPool.Store(NewPool(DefaultParallelism())) }
 
 // SetPoolParallelism resizes the shared computation pool and returns the
 // previous width. It exists for benchmarks that pin the pool to a
-// specific width (disq-bench measures the sweep at one slot and at
-// NumCPU); in-flight ForEach calls keep draining the pool they acquired
+// specific width (the shared-sweep benchmark in internal/experiment
+// runs at one slot); in-flight ForEach calls keep draining the pool they acquired
 // from, so a resize is safe but should happen between workloads, not
 // during one.
 func SetPoolParallelism(n int) int {
@@ -91,9 +91,9 @@ func ForEach(n, parallelism int, fn func(i int)) {
 	// Capture the pool once so acquire and release pair up even if the
 	// shared pool is swapped mid-call. A one-slot pool means the only
 	// possible extra worker would share the single CPU with the caller —
-	// the channel handoff then costs more than it buys (the seed
-	// BENCH_baseline.json recorded sweep_speedup < 1 exactly this way),
-	// so fall back to the plain sequential loop.
+	// the channel handoff then costs more than it buys (a one-slot sweep
+	// measured slower than the sequential loop exactly this way), so fall
+	// back to the plain sequential loop.
 	pool := sharedPool.Load()
 	if parallelism == 1 || n == 1 || pool.Cap() == 1 {
 		for i := 0; i < n; i++ {

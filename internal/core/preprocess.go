@@ -93,7 +93,15 @@ func Preprocess(p crowd.Platform, q Query, bObj, bPrc crowd.Cost, opts Options) 
 		if opts.OnlyQueryAttributes {
 			candidates = targets
 		}
-		for len(col.attributes()) < opts.MaxAttributes && dismantles < opts.MaxDismantles {
+		for {
+			if len(col.attributes()) >= opts.MaxAttributes {
+				tr.emit(TraceStop, "", "attribute cap reached (MaxAttributes %d)", opts.MaxAttributes)
+				break
+			}
+			if dismantles >= opts.MaxDismantles {
+				tr.emit(TraceStop, "", "dismantling cap reached (MaxDismantles %d)", opts.MaxDismantles)
+				break
+			}
 			// Dismantling slice: affordability check, candidate scoring and
 			// the dismantling question itself.
 			endDismantle := rec.begin(PhaseDismantle)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -373,5 +374,43 @@ func TestTraceEventsEmitted(t *testing.T) {
 	// Exactly one stop and one budget event.
 	if kinds[TraceStop] != 1 || kinds[TraceBudget] != 1 {
 		t.Fatalf("stop/budget counts: %v", kinds)
+	}
+}
+
+// TestTraceStopNamesCap runs discovery into each safety cap with a large
+// budget: exactly one TraceStop says which cap ended discovery, and the
+// trace changes nothing else — the plan and spend equal an untraced run's.
+func TestTraceStopNamesCap(t *testing.T) {
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{MaxDismantles: 3}, "MaxDismantles 3"},
+		{Options{MaxAttributes: 3}, "MaxAttributes 3"},
+	} {
+		var stops []TraceEvent
+		traced := tc.opts
+		traced.Trace = func(e TraceEvent) {
+			if e.Kind == TraceStop {
+				stops = append(stops, e)
+			}
+		}
+		run := func(opts Options) (*Plan, crowd.Cost) {
+			p := simPlatform(t, domain.Recipes(), 15)
+			plan, err := Preprocess(p, Query{Targets: []string{"Protein"}}, crowd.Cents(4), crowd.Dollars(50), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return plan, p.Ledger().Spent()
+		}
+		plan, spent := run(traced)
+		if len(stops) != 1 || !strings.Contains(stops[0].Detail, tc.want) {
+			t.Fatalf("%s: stop events %v, want one naming the cap", tc.want, stops)
+		}
+		bare, bareSpent := run(tc.opts)
+		if !reflect.DeepEqual(plan.Budget, bare.Budget) || !reflect.DeepEqual(plan.Regressions, bare.Regressions) ||
+			plan.PreprocessCost != bare.PreprocessCost || spent != bareSpent {
+			t.Fatalf("%s: the traced run's plan or spend differs from the untraced run's", tc.want)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package crowdhttp
 
 import (
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/crowd"
 	"repro/internal/domain"
+	"repro/internal/serve"
 )
 
 func newPair(t *testing.T, seed int64) (*Client, *Server, *httptest.Server) {
@@ -273,5 +276,28 @@ func TestClientBudgetChargedBeforeRequest(t *testing.T) {
 	}
 	if hits != 0 {
 		t.Fatalf("%d chargeable requests reached the server despite empty budget", hits)
+	}
+}
+
+// TestOversizedBodyRejected sends a body past maxBodyBytes to a question
+// endpoint and to the query API. Each answers 413, which the client does
+// not retry, with a message that names the bound.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, _, questions := newPair(t, 1)
+	_, queries := newQueryFixture(t, 1, serve.Config{})
+	body := `{"statement":"SELECT Protein","pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, url := range []string{questions.URL + PathValue, queries.URL + PathServeQuery} {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413 (%s)", url, resp.StatusCode, msg)
+		}
+		if want := fmt.Sprintf("%d-byte limit", maxBodyBytes); !strings.Contains(string(msg), want) {
+			t.Fatalf("%s: message %q does not name the %s", url, msg, want)
+		}
 	}
 }

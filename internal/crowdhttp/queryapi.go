@@ -59,8 +59,8 @@ func (s *QueryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req serve.Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("crowdhttp: bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	s.queries.Add(1)

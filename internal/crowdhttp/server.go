@@ -340,9 +340,9 @@ func (s *Server) wrap(path string, h http.HandlerFunc) http.HandlerFunc {
 			writeError(w, http.StatusServiceUnavailable, errInjectedFault)
 			return
 		}
-		body, err := io.ReadAll(r.Body)
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("crowdhttp: reading request body: %w", err))
+			writeBodyError(w, err)
 			return
 		}
 		r.Body = io.NopCloser(bytes.NewReader(body))
@@ -404,6 +404,26 @@ func statusFor(err error) int {
 	return http.StatusBadRequest
 }
 
+// maxBodyBytes bounds every request body the servers read, so a client
+// cannot make them buffer an unbounded body. A /v1/batch body of
+// maxBatchItems items stays under 300 KiB even with every field filled.
+const maxBodyBytes = 1 << 20
+
+// writeBodyError answers a request whose body could not be read or
+// decoded: 413 naming the bound when the body exceeds maxBodyBytes, 400
+// otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("crowdhttp: request body exceeds the %d-byte limit", tooLarge.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, fmt.Errorf("crowdhttp: bad request body: %w", err))
+}
+
+// decode reads a question endpoint's body. wrap has already read it,
+// within maxBodyBytes, to find the idempotency key.
 func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("crowdhttp: %s requires POST", r.URL.Path))

@@ -105,6 +105,18 @@ func (cm *classMetrics) observe(lat time.Duration, spend crowd.Cost, questions i
 	cm.lat.add(lat.Nanoseconds())
 }
 
+// maxOpenClasses bounds how many class names get their own metrics
+// entry besides DefaultClass and the classes Config.Admission names. A
+// request naming a further class is counted under overflowClass. Each
+// entry keeps a 128 KiB latency ring for the tier's lifetime, so without
+// the cap any client could grow the tier by sending distinct class
+// names, even in requests that fail to parse.
+const maxOpenClasses = 16
+
+// overflowClass is the one entry every class past maxOpenClasses folds
+// into.
+const overflowClass = "(overflow)"
+
 // metrics is the tier-wide registry of per-class metrics.
 type metrics struct {
 	now   func() time.Time
@@ -112,10 +124,18 @@ type metrics struct {
 
 	mu      sync.RWMutex
 	classes map[string]*classMetrics
+	// reserved names the classes that always get their own entry; open
+	// counts the entries of other names.
+	reserved map[string]bool
+	open     int
 }
 
-func newMetrics(now func() time.Time) *metrics {
-	return &metrics{now: now, start: now(), classes: make(map[string]*classMetrics)}
+func newMetrics(now func() time.Time, admission map[string]BucketConfig) *metrics {
+	reserved := map[string]bool{DefaultClass: true, overflowClass: true}
+	for class := range admission {
+		reserved[class] = true
+	}
+	return &metrics{now: now, start: now(), classes: make(map[string]*classMetrics), reserved: reserved}
 }
 
 func (m *metrics) class(name string) *classMetrics {
@@ -129,6 +149,16 @@ func (m *metrics) class(name string) *classMetrics {
 	defer m.mu.Unlock()
 	if cm, ok = m.classes[name]; ok {
 		return cm
+	}
+	if !m.reserved[name] {
+		if m.open == maxOpenClasses {
+			name = overflowClass
+			if cm, ok = m.classes[name]; ok {
+				return cm
+			}
+		} else {
+			m.open++
+		}
 	}
 	cm = &classMetrics{lat: newLatencyRing(1 << 14)}
 	m.classes[name] = cm
@@ -194,9 +224,12 @@ type Stats struct {
 	Cache         CacheStats `json:"plan_cache"`
 	// AnswerCache is the shared answer-reuse cache's snapshot (zero value
 	// when the tier runs without one).
-	AnswerCache AnswerCacheStats      `json:"answer_cache"`
-	Backends    []BackendStats        `json:"backends"`
-	Classes     map[string]ClassStats `json:"classes"`
+	AnswerCache AnswerCacheStats `json:"answer_cache"`
+	Backends    []BackendStats   `json:"backends"`
+	// Classes holds one entry per SLO class seen. Beyond DefaultClass,
+	// the Config.Admission classes and 16 other names, further classes
+	// share the "(overflow)" entry.
+	Classes map[string]ClassStats `json:"classes"`
 }
 
 func (m *metrics) snapshot() Stats {

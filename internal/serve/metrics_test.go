@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -83,7 +85,7 @@ func TestFairnessIndex(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := newMetrics(time.Now)
+			m := newMetrics(time.Now, nil)
 			for class, n := range tc.sessions {
 				cm := m.class(class)
 				for i := int64(0); i < n; i++ {
@@ -124,7 +126,7 @@ func TestFairnessIndexSurfacesInTierStats(t *testing.T) {
 // TestAdaptiveCountersSurfaceInSnapshot checks the per-class adaptive
 // counters round-trip through snapshot().
 func TestAdaptiveCountersSurfaceInSnapshot(t *testing.T) {
-	m := newMetrics(time.Now)
+	m := newMetrics(time.Now, nil)
 	cm := m.class("interactive")
 	cm.observe(time.Millisecond, crowd.Cents(1), 10)
 	cm.adaptiveSessions.Add(1)
@@ -132,5 +134,48 @@ func TestAdaptiveCountersSurfaceInSnapshot(t *testing.T) {
 	cs := m.snapshot().Classes["interactive"]
 	if cs.AdaptiveSessions != 1 || cs.QuestionsSaved != 4 {
 		t.Fatalf("adaptive counters = %d/%d, want 1/4", cs.AdaptiveSessions, cs.QuestionsSaved)
+	}
+}
+
+// TestClassMetricsBounded sends 1,000 unparseable requests, each naming
+// a new class. Only maxOpenClasses of them get their own entry beside
+// DefaultClass and the classes Config.Admission names; the rest share
+// the overflow entry, so neither the class list nor the live heap grows
+// with the names a client sends. Named classes keep their own entries
+// and their own counters.
+func TestClassMetricsBounded(t *testing.T) {
+	tier := newTestTier(t, 1, 4, Config{Admission: map[string]BucketConfig{"batch": {Rate: 1000, Burst: 1000}}})
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const n = 1000
+	for i := 0; i < n; i++ {
+		if _, err := tier.Execute(ctx, Request{Statement: "NOT SQL", Class: fmt.Sprintf("class-%d", i)}); err == nil {
+			t.Fatal("an unparseable statement executed")
+		}
+	}
+	for _, class := range []string{"", "batch"} {
+		if _, err := tier.Execute(ctx, Request{Statement: "NOT SQL", Class: class}); err == nil {
+			t.Fatal("an unparseable statement executed")
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	classes := tier.Stats().Classes
+	if want := maxOpenClasses + 3; len(classes) != want {
+		t.Fatalf("%d classes after %d distinct names, want %d", len(classes), n, want)
+	}
+	if got := classes[overflowClass].Errors; got != n-maxOpenClasses {
+		t.Fatalf("overflow class counted %d errors, want %d", got, n-maxOpenClasses)
+	}
+	if classes["class-0"].Errors != 1 || classes[DefaultClass].Errors != 1 || classes["batch"].Errors != 1 {
+		t.Fatalf("named classes lost their own counters: %+v", classes)
+	}
+	// Each entry holds a 128 KiB latency ring: the bounded registry keeps
+	// about 2.5 MiB, against 125 MiB for one entry per name.
+	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); growth > 8<<20 {
+		t.Fatalf("heap grew %d KiB over %d distinct classes", growth>>10, n)
 	}
 }

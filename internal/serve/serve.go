@@ -336,7 +336,7 @@ func New(cfg Config) (*Tier, error) {
 		router:      router,
 		cache:       newPlanCache(cfg.CacheSize),
 		adm:         newAdmission(cfg.Admission, now),
-		metrics:     newMetrics(now),
+		metrics:     newMetrics(now, cfg.Admission),
 		opts:        cfg.Options,
 		adaptive:    cfg.Adaptive,
 		lazy:        cfg.Lazy,
